@@ -124,11 +124,9 @@ struct CaseRun {
   size_t graph_edges = 0;
   size_t graph_nodes = 0;
   DurationMicros elapsed = 0;  // simulated
-  /// Deterministic scan totals from the responsive engine (0 on the
-  /// baseline): summed simulated scan cost, and the modeled makespan of
-  /// those scans on scan_threads parallel servers (ScanOverlapModel).
+  /// Summed simulated scan cost from the responsive engine (0 on the
+  /// baseline); deterministic per input.
   DurationMicros scan_cost_total = 0;
-  DurationMicros modeled_scan_makespan = 0;
 };
 
 /// Backtracks from `alert` with either engine, capped at `sim_cap`
@@ -165,7 +163,6 @@ inline CaseRun RunCase(const EventStore& store, const Event& alert,
   run.elapsed = clock.NowMicros() - session.stats().run_start;
   if (const auto* executor = dynamic_cast<Executor*>(session.engine())) {
     run.scan_cost_total = executor->scan_cost_total();
-    run.modeled_scan_makespan = executor->modeled_scan_makespan();
   }
   return run;
 }

@@ -76,8 +76,6 @@ int Main(int argc, char** argv) {
 
   service::ServiceLimits limits;
   limits.max_live_sessions = 1 + num_small;
-  limits.scan_threads = args.threads;
-  limits.session_scan_threads = args.scan_threads;
   service::SessionManager manager(store.get(), limits);
 
   const auto script_for = [&](const Event& alert, bool small) {

@@ -1,7 +1,6 @@
 #include "core/executor.h"
 
 #include <algorithm>
-#include <cassert>
 #include <exception>
 #include <thread>
 
@@ -31,7 +30,6 @@ struct ExecutorMetrics {
   obs::Gauge* pool_queue_depth;
   obs::LatencyHistogram* worker_scan_latency;
   obs::Counter* scan_cost;
-  obs::Gauge* modeled_makespan;
 };
 
 const ExecutorMetrics& Em() {
@@ -51,8 +49,6 @@ const ExecutorMetrics& Em() {
       obs::Metrics().FindOrCreateHistogram(
           obs::names::kExecutorWorkerScanLatency),
       obs::Metrics().FindOrCreateCounter(obs::names::kExecutorScanCostMicros),
-      obs::Metrics().FindOrCreateGauge(
-          obs::names::kExecutorModeledScanMakespan),
   };
   return m;
 }
@@ -73,35 +69,6 @@ const char* StopReasonName(StopReason r) {
     case StopReason::kStopped: return "stopped";
   }
   return "?";
-}
-
-// ------------------------------------------------- ScanOverlapModel
-
-void ScanOverlapModel::Reset(int servers) {
-  server_free_.assign(static_cast<size_t>(std::max(1, servers)), 0);
-  ready_.clear();
-  makespan_ = 0;
-  total_ = 0;
-}
-
-void ScanOverlapModel::OnWindowScanned(uint64_t seq, DurationMicros cost,
-                                       uint64_t child_seq_lo,
-                                       uint64_t child_seq_hi) {
-  TimeMicros ready = 0;
-  if (const auto it = ready_.find(seq); it != ready_.end()) {
-    ready = it->second;
-    ready_.erase(it);
-  }
-  const auto server =
-      std::min_element(server_free_.begin(), server_free_.end());
-  const TimeMicros start = std::max(*server, ready);
-  const TimeMicros finish = start + cost;
-  *server = finish;
-  makespan_ = std::max(makespan_, finish);
-  total_ += cost;
-  for (uint64_t c = child_seq_lo; c < child_seq_hi; ++c) {
-    ready_[c] = finish;
-  }
 }
 
 // ---------------------------------------------------------- Executor
@@ -140,29 +107,15 @@ Executor::Executor(TrackingContext ctx, Clock* clock, int num_windows_k,
       requested == 0
           ? std::max(1, static_cast<int>(std::thread::hardware_concurrency()))
           : std::clamp(requested, 1, WorkerPool::kMaxThreads);
-  model_.Reset(scan_threads_);
 }
 
 Executor::~Executor() {
-  // Only the owned pool is shut down; a shared pool belongs to the
-  // SessionManager and keeps serving other sessions. Run()'s trailing
-  // WaitIdle barrier guarantees no in-flight task still references this
-  // executor either way.
+  // Run()'s trailing WaitIdle barrier guarantees no in-flight task still
+  // references this executor; queued ones are discarded.
   if (pool_ != nullptr) pool_->Shutdown(/*run_pending=*/false);
 }
 
-WorkerPool* Executor::ScanPool() const {
-  return shared_pool_ != nullptr ? shared_pool_ : pool_.get();
-}
-
-void Executor::UseSharedWorkerPool(WorkerPool* pool, size_t backlog_cap) {
-  assert(pool_ == nullptr);  // must precede the first Run()
-  shared_pool_ = pool;
-  shared_backlog_cap_ = backlog_cap == 0 ? 1 : backlog_cap;
-}
-
 void Executor::StartPoolIfNeeded() {
-  if (shared_pool_ != nullptr) return;
   if (scan_threads_ <= 1 || pool_ != nullptr) return;
   pool_ = std::make_unique<WorkerPool>(scan_threads_, [] {
     obs::Tracer::Global().SetThreadName("scan-worker");
@@ -170,8 +123,7 @@ void Executor::StartPoolIfNeeded() {
 }
 
 void Executor::SubmitPrefetch(const ExecWindow& w) {
-  WorkerPool* pool = ScanPool();
-  if (pool == nullptr || prefetch_.count(w.seq) != 0) return;
+  if (pool_ == nullptr || prefetch_.count(w.seq) != 0) return;
   auto entry = std::make_shared<Prefetch>();
   // The task reads only immutable state (sealed store, context spec,
   // mutex-guarded derived-attr caches); every exclusion or graph decision
@@ -219,17 +171,13 @@ void Executor::SubmitPrefetch(const ExecWindow& w) {
     }
     slot->cv.NotifyAll();
   };
-  // Shared pool: bounded offer — a full backlog or a draining pool
-  // rejects the prefetch and this window takes the fused sequential scan.
-  const bool submitted = shared_pool_ != nullptr
-                             ? pool->TrySubmit(std::move(task),
-                                               shared_backlog_cap_)
-                             : pool->Submit(std::move(task));
-  if (submitted) prefetch_.emplace(w.seq, std::move(entry));
+  if (pool_->Submit(std::move(task))) {
+    prefetch_.emplace(w.seq, std::move(entry));
+  }
 }
 
 void Executor::SubmitMissingPrefetches() {
-  if (ScanPool() == nullptr) return;
+  if (pool_ == nullptr) return;
   for (const ExecWindow& w : queue_.entries()) SubmitPrefetch(w);
 }
 
@@ -387,17 +335,14 @@ StopReason Executor::Run(const RunLimits& limits) {
     // distributed scan): in-flight tasks still reference this executor.
     run_error = std::current_exception();
   }
-  if (WorkerPool* pool = ScanPool(); pool != nullptr) {
+  if (pool_ != nullptr) {
     // Barrier: callers may mutate ctx_ (refine), serialize state
     // (checkpoint), or destroy the executor after Run returns; none of
     // that may race an in-flight scan. Finished prefetches stay cached
-    // for the next Run. (On a shared pool the single scheduler thread
-    // runs one quantum at a time, so this never waits on another
-    // session's work.)
-    pool->WaitIdle();
+    // for the next Run.
+    pool_->WaitIdle();
     Em().pool_queue_depth->Set(0);
   }
-  Em().modeled_makespan->Set(model_.makespan());
   if (run_error != nullptr) std::rethrow_exception(run_error);
   return reason;
 }
@@ -433,12 +378,11 @@ StopReason Executor::RunLoop(const RunLimits& limits) {
       // "stops exploring the path and switches to other shorter paths".
       Em().stale_windows->Add();
       prefetch_.erase(w.seq);
-      model_.OnWindowDropped(w.seq);
       continue;
     }
 
     std::unique_ptr<PrefetchResult> pre;
-    if (ScanPool() != nullptr) {
+    if (pool_ != nullptr) {
       if (const auto it = prefetch_.find(w.seq); it != prefetch_.end()) {
         const std::shared_ptr<Prefetch> slot = std::move(it->second);
         prefetch_.erase(it);
@@ -463,7 +407,6 @@ StopReason Executor::RunLoop(const RunLimits& limits) {
     size_t batch_nodes = 0;
     DurationMicros scan_cost = 0;
     ScanProbeStats probe;
-    const uint64_t child_seq_lo = seq_;
     const TimeMicros wall0 = MonotonicNowMicros();
     ProcessWindow(w, pre.get(), &batch_edges, &batch_nodes, &scan_cost,
                   &probe);
@@ -473,13 +416,13 @@ StopReason Executor::RunLoop(const RunLimits& limits) {
     profile_.OnWindowScanned(
         w.hop, w.state, w.boosted, probe, scan_cost, batch_edges,
         static_cast<uint64_t>(MonotonicNowMicros() - wall0));
-    model_.OnWindowScanned(w.seq, scan_cost, child_seq_lo, seq_);
+    scan_cost_total_ += scan_cost;
     Em().scan_cost->Add(static_cast<uint64_t>(scan_cost));
     Em().queue_depth->Set(static_cast<int64_t>(queue_.size()));
     obs::Tracer::Global().RecordCounter(obs::names::kExecutorQueueDepth,
                                         static_cast<int64_t>(queue_.size()));
-    if (WorkerPool* pool = ScanPool(); pool != nullptr) {
-      Em().pool_queue_depth->Set(static_cast<int64_t>(pool->pending()));
+    if (pool_ != nullptr) {
+      Em().pool_queue_depth->Set(static_cast<int64_t>(pool_->pending()));
     }
     if (batch_edges > 0) {
       UpdateBatch batch;
@@ -523,9 +466,7 @@ void Executor::RebuildQueue() {
 
 void Executor::ApplyRefinedContext(TrackingContext new_ctx,
                                    const RefineDelta& delta) {
-  if (WorkerPool* pool = ScanPool(); pool != nullptr) {
-    pool->WaitIdle();  // workers read the old ctx_
-  }
+  if (pool_ != nullptr) pool_->WaitIdle();  // workers read the old ctx_
   // Cached prefetches carry the old context's verdicts and ranges; the
   // Run-start top-up pass resubmits under the new context.
   InvalidatePrefetches();

@@ -29,44 +29,6 @@ struct RefineDelta {
   bool range_narrowed = false;
 };
 
-/// Deterministic discrete-event model of how a run's window scans would
-/// schedule onto N parallel scan servers.
-///
-/// The cost model treats every scan as an I/O-bound database query with a
-/// simulated duration (storage/cost_model.h); those queries genuinely
-/// overlap on a real backend, which is the whole point of the parallel
-/// pipeline. This model replays the coordinator's deterministic scan
-/// sequence onto N virtual servers: a window's scan may start once (a) a
-/// server is free and (b) the scan that *discovered* the window has
-/// finished (its rows are what enqueued it). `makespan()` is then the
-/// modeled parallel completion time, and `total_cost() / makespan()` the
-/// modeled scan speedup — a timing-independent figure that is identical
-/// on every machine, unlike wall clock on a loaded CI box.
-class ScanOverlapModel {
- public:
-  /// Starts a fresh schedule on `servers` virtual scan servers.
-  void Reset(int servers);
-
-  /// Records the scan of window `seq` costing `cost` simulated micros.
-  /// Windows with seq in [child_seq_lo, child_seq_hi) were enqueued by
-  /// this scan's rows and become ready when it finishes. Windows never
-  /// announced as children (the bootstrap set) are ready at time 0.
-  void OnWindowScanned(uint64_t seq, DurationMicros cost,
-                       uint64_t child_seq_lo, uint64_t child_seq_hi);
-
-  /// Forgets a window popped as stale (its scan never runs).
-  void OnWindowDropped(uint64_t seq) { ready_.erase(seq); }
-
-  DurationMicros total_cost() const { return total_; }
-  DurationMicros makespan() const { return makespan_; }
-
- private:
-  std::vector<TimeMicros> server_free_;
-  std::unordered_map<uint64_t, TimeMicros> ready_;
-  TimeMicros makespan_ = 0;
-  DurationMicros total_ = 0;
-};
-
 /// Durable-ingest mark embedded in daemon checkpoints (record kind "D"):
 /// what the store durably held when the checkpoint was taken. On restore
 /// the store must hold at least `store_events` events, otherwise the data
@@ -101,7 +63,10 @@ struct CheckpointDurableMark {
 /// simulated-cost charging happen only on the coordinator, in the same
 /// order as the sequential path. The produced graph, update log, stats,
 /// and stop reason are therefore bit-identical to scan_threads == 1 for
-/// any input (tests/executor_differential_test.cc enforces this).
+/// any input (tests/executor_differential_test.cc enforces this). The
+/// prefetch pays only when a scan crosses a network (a remote shard
+/// fleet); in process the sequential path is faster
+/// (docs/parallel_execution.md).
 class Executor : public BacktrackEngine {
  public:
   /// `num_windows_k` is the user-configurable window count k (the paper's
@@ -136,11 +101,9 @@ class Executor : public BacktrackEngine {
 
   /// Effective scan worker thread count (1 = sequential path).
   int scan_threads() const { return scan_threads_; }
-  /// Total simulated cost of the scans this executor charged, and the
-  /// modeled makespan of those scans on scan_threads() parallel servers
-  /// (see ScanOverlapModel). Both are deterministic per input.
-  DurationMicros scan_cost_total() const { return model_.total_cost(); }
-  DurationMicros modeled_scan_makespan() const { return model_.makespan(); }
+  /// Total simulated cost of the scans this executor charged
+  /// (deterministic per input).
+  DurationMicros scan_cost_total() const { return scan_cost_total_; }
 
   /// Per-hop / per-rule attribution of everything this executor scanned
   /// (the "EXPLAIN ANALYZE" view; see core/query_profile.h). Purely
@@ -166,16 +129,6 @@ class Executor : public BacktrackEngine {
   Status SaveCheckpoint(std::ostream& os,
                         const CheckpointDurableMark* mark = nullptr) const;
   Status RestoreCheckpoint(std::istream& is);
-
-  /// Runs the prefetch pipeline on an externally owned pool instead of
-  /// spawning one. The daemon's SessionManager shares one pool across all
-  /// live sessions; each prefetch is then offered with
-  /// WorkerPool::TrySubmit bounded by `backlog_cap`, and a rejected
-  /// submission simply falls back to the fused sequential scan for that
-  /// window (identical results — backpressure costs overlap, never
-  /// correctness). The pool must outlive this executor and is never shut
-  /// down by it. Call before the first Run().
-  void UseSharedWorkerPool(WorkerPool* pool, size_t backlog_cap);
 
   /// Refiner entry point for compatible spec changes (paper Section
   /// III-B3): swaps in the new context and reuses the cached graph —
@@ -214,9 +167,6 @@ class Executor : public BacktrackEngine {
   void RebuildQueue();
 
   // Parallel pipeline plumbing (all no-ops when no pool is active).
-  /// The pool prefetches run on: the shared one when installed, else the
-  /// owned one (nullptr on the sequential path).
-  WorkerPool* ScanPool() const;
   void StartPoolIfNeeded();
   void SubmitPrefetch(const ExecWindow& w);
   /// Submits prefetches for queued windows that lack one — the top-up
@@ -243,14 +193,12 @@ class Executor : public BacktrackEngine {
   bool bootstrapped_ = false;
 
   int scan_threads_ = 1;
-  ScanOverlapModel model_;
+  DurationMicros scan_cost_total_ = 0;
   QueryProfile profile_;
   /// Window seq -> its speculative scan (coordinator-only map; workers
   /// only touch the entry their task captured).
   std::unordered_map<uint64_t, std::shared_ptr<Prefetch>> prefetch_;
-  std::unique_ptr<WorkerPool> pool_;
-  WorkerPool* shared_pool_ = nullptr;  // not owned; see UseSharedWorkerPool
-  size_t shared_backlog_cap_ = 0;
+  std::unique_ptr<WorkerPool> pool_;  // null on the sequential path
 };
 
 }  // namespace aptrace

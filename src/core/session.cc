@@ -7,7 +7,6 @@
 #include "obs/names.h"
 #include "obs/trace.h"
 #include "util/logging.h"
-#include "util/worker_pool.h"
 
 namespace aptrace {
 
@@ -37,18 +36,8 @@ Session::Session(const EventStore* store, Clock* clock,
 
 std::unique_ptr<Executor> Session::MakeExecutor(TrackingContext ctx,
                                                 int num_windows_k) {
-  auto executor = std::make_unique<Executor>(std::move(ctx), clock_,
-                                             num_windows_k,
-                                             options_.temporal_priority);
-  if (options_.shared_scan_pool != nullptr) {
-    const size_t cap = options_.shared_scan_backlog != 0
-                           ? options_.shared_scan_backlog
-                           : static_cast<size_t>(
-                                 options_.shared_scan_pool->num_threads()) *
-                                 2;
-    executor->UseSharedWorkerPool(options_.shared_scan_pool, cap);
-  }
-  return executor;
+  return std::make_unique<Executor>(std::move(ctx), clock_, num_windows_k,
+                                    options_.temporal_priority);
 }
 
 void Session::RefreshSnapshot() {

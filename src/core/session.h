@@ -27,20 +27,11 @@ struct SessionOptions {
   bool temporal_priority = true;
 
   /// Scan worker threads for the responsive Executor: 1 = sequential
-  /// legacy path, 0 = hardware concurrency, N > 1 = parallel prefetch
-  /// pipeline. Results are bit-identical regardless of the value (see
-  /// docs/parallel_execution.md). Ignored by the baseline engine.
-  int scan_threads = 1;
-
-  /// When non-null, the responsive Executor prefetches on this externally
-  /// owned pool instead of spawning its own (Executor::
-  /// UseSharedWorkerPool) — how the daemon multiplexes all live sessions
-  /// onto one set of scan workers. Must outlive the session. Ignored by
+  /// path, 0 = hardware concurrency, N > 1 = parallel prefetch pipeline
+  /// (pays only over a remote shard fleet). Results are bit-identical
+  /// regardless of the value (see docs/parallel_execution.md). Ignored by
   /// the baseline engine.
-  WorkerPool* shared_scan_pool = nullptr;
-  /// Backlog cap handed to WorkerPool::TrySubmit in shared-pool mode;
-  /// 0 picks a default proportional to the pool width.
-  size_t shared_scan_backlog = 0;
+  int scan_threads = 1;
 };
 
 /// One coherent view of a session's progress, captured atomically with
@@ -150,8 +141,8 @@ class Session {
   Status Finish(bool prune_to_matched_paths = true);
 
  private:
-  /// Constructs a responsive Executor wired per options_ (shared pool,
-  /// priority mode); shared by Start, restart, and checkpoint load.
+  /// Constructs a responsive Executor wired per options_ (priority
+  /// mode); shared by Start, restart, and checkpoint load.
   std::unique_ptr<Executor> MakeExecutor(TrackingContext ctx,
                                          int num_windows_k);
   /// Recomputes the cached snapshot from the engine. Caller must be the

@@ -215,16 +215,4 @@ size_t RemoteShardBackend::EvictBefore(TimeMicros horizon) {
   return evicted;
 }
 
-size_t RemoteShardBackend::CountDestRows(ObjectId dest, TimeMicros begin,
-                                         TimeMicros end, uint64_t* probed,
-                                         uint64_t* seeked,
-                                         uint64_t* pruned) const {
-  const RangeScanBatch batch =
-      CollectRpc("shard.collect_dest", dest, begin, end);
-  *probed = batch.partitions_probed;
-  *seeked = batch.partitions_seeked;
-  *pruned = batch.segments_pruned;
-  return batch.rows.size();
-}
-
 }  // namespace aptrace::dist

@@ -82,11 +82,6 @@ class RemoteShardBackend final : public StorageBackend {
 
   const ShardClient& client() const { return *client_; }
 
- protected:
-  size_t CountDestRows(ObjectId dest, TimeMicros begin, TimeMicros end,
-                       uint64_t* probed, uint64_t* seeked,
-                       uint64_t* pruned) const override;
-
  private:
   /// Shared RPC + decode behind the three Collect* ops. Decoded rows are
   /// deposited into the cache so the ensuing ReplayScan's Gets are local.

@@ -119,9 +119,6 @@ MetricsRegistry::MetricsRegistry(bool preregister_engine) {
   FindOrCreateCounter(names::kExecutorScanCostMicros,
                       "Total simulated scan cost charged by the executor "
                       "(micros)");
-  FindOrCreateGauge(names::kExecutorModeledScanMakespan,
-                    "Modeled makespan (micros) of the run's scans on N "
-                    "parallel servers (see docs/parallel_execution.md)");
   FindOrCreateCounter(names::kBaselineNodeQueries,
                       "Whole-history node queries issued by the baseline "
                       "engine");

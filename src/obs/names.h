@@ -41,8 +41,6 @@ inline constexpr char kExecutorWorkerScanLatency[] =
     "aptrace_executor_worker_scan_latency";
 inline constexpr char kExecutorScanCostMicros[] =
     "aptrace_executor_scan_cost_micros_total";
-inline constexpr char kExecutorModeledScanMakespan[] =
-    "aptrace_executor_modeled_scan_makespan_micros";
 
 // Execute-to-complete baseline (core/baseline_executor.cc).
 inline constexpr char kBaselineNodeQueries[] =

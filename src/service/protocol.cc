@@ -82,7 +82,6 @@ obs::JsonDict SnapshotDict(const SessionSnapshot& snap) {
 OpenOptions ParseOpenOptions(const JsonValue& req) {
   OpenOptions opts;
   opts.weight = req.GetUint("weight", 1);
-  opts.scan_threads = static_cast<int>(req.GetInt("scan_threads", 0));
   if (const JsonValue* v = req.Find("window_budget");
       v != nullptr && v->IsNumber()) {
     opts.window_budget = req.GetUint("window_budget");

@@ -14,9 +14,9 @@ namespace aptrace::service {
 /// carry `ok`, and failures add `code` (an SRV-E0xx from the table in
 /// docs/service.md) and `error`. Ops:
 ///
-///   open        {bdl, weight?, scan_threads?, window_budget?,
-///                sim_budget?, start_event?}          -> {session}
-///   resume      {path, weight?, scan_threads?}       -> {session}
+///   open        {bdl, weight?, window_budget?, sim_budget?,
+///                start_event?}                       -> {session}
+///   resume      {path, weight?}                      -> {session}
 ///   poll        {session, cursor?, max?}             -> {state, detail,
 ///                terminal, next_cursor, batches[], snapshot}
 ///   cancel      {session}                            -> {}

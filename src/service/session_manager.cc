@@ -88,7 +88,6 @@ struct SessionManager::Managed {
   DurationMicros sim_budget = 0;
   bool cancel_requested = false;
   bool quantum_active = false;
-  bool stalled_on_buffer = false;  // set by should_stop, read post-quantum
   bool first_update_seen = false;
   TimeMicros opened_wall = 0;
   std::deque<ServiceBatch> buffer;
@@ -105,14 +104,6 @@ struct SessionManager::Managed {
 
 SessionManager::SessionManager(EventStore* store, ServiceLimits limits)
     : store_(store), limits_(limits) {
-  const int threads =
-      limits_.scan_threads == 0
-          ? std::max(1,
-                     static_cast<int>(std::thread::hardware_concurrency()))
-          : std::clamp(limits_.scan_threads, 1, WorkerPool::kMaxThreads);
-  pool_ = std::make_unique<WorkerPool>(threads, [] {
-    obs::Tracer::Global().SetThreadName("scan-worker");
-  });
   scheduler_ = std::thread([this] { SchedulerLoop(); });
 }
 
@@ -206,28 +197,21 @@ Result<uint64_t> SessionManager::Open(const std::string& bdl_text,
   s->window_budget = opts.window_budget.value_or(limits_.window_budget);
   s->sim_budget = opts.sim_budget.value_or(limits_.sim_budget);
   s->opened_wall = MonotonicNowMicros();
-
-  SessionOptions options;
-  options.scan_threads = opts.scan_threads != 0
-                             ? opts.scan_threads
-                             : limits_.session_scan_threads;
-  options.shared_scan_pool = pool_.get();
-  s->session =
-      std::make_unique<Session>(store_, s->clock.get(), options);
-
-  std::optional<Event> start_override;
-  if (opts.start_event.has_value()) {
-    if (*opts.start_event >= store_->NumEvents()) {
-      return Status::InvalidArgument("SRV-E004: start_event " +
-                                     std::to_string(*opts.start_event) +
-                                     " out of range");
-    }
-    start_override = store_->Get(*opts.start_event);
-  }
+  s->session = std::make_unique<Session>(store_, s->clock.get());
   {
-    // Start-point resolution scans the store; serialize against the
-    // scheduler's between-quanta ingest appends.
+    // The start-event lookup and start-point resolution read the store;
+    // serialize them against the scheduler's between-quanta ingest
+    // appends and the seals that recut its segments.
     MutexLock store_lock(&store_mu_);
+    std::optional<Event> start_override;
+    if (opts.start_event.has_value()) {
+      if (*opts.start_event >= store_->NumEvents()) {
+        return Status::InvalidArgument("SRV-E004: start_event " +
+                                       std::to_string(*opts.start_event) +
+                                       " out of range");
+      }
+      start_override = store_->Get(*opts.start_event);
+    }
     if (auto st = s->session->Start(bdl_text, start_override); !st.ok()) {
       return Status::InvalidArgument("SRV-E004: " + st.message());
     }
@@ -244,14 +228,7 @@ Result<uint64_t> SessionManager::Resume(const std::string& path,
   s->window_budget = opts.window_budget.value_or(limits_.window_budget);
   s->sim_budget = opts.sim_budget.value_or(limits_.sim_budget);
   s->opened_wall = MonotonicNowMicros();
-
-  SessionOptions options;
-  options.scan_threads = opts.scan_threads != 0
-                             ? opts.scan_threads
-                             : limits_.session_scan_threads;
-  options.shared_scan_pool = pool_.get();
-  s->session =
-      std::make_unique<Session>(store_, s->clock.get(), options);
+  s->session = std::make_unique<Session>(store_, s->clock.get());
   {
     MutexLock store_lock(&store_mu_);
     if (auto st = s->session->LoadCheckpoint(path); !st.ok()) {
@@ -302,9 +279,12 @@ Status SessionManager::Cancel(uint64_t id) {
   }
   if (s->state != SessionState::kRunning) return Status::Ok();  // no-op
   s->cancel_requested = true;
-  if (!s->quantum_active) {
-    // Not on the CPU: finalize here; otherwise the scheduler finalizes
-    // when should_stop ends the in-flight quantum.
+  // A quantum in flight finalizes the session when it ends; wait for that
+  // boundary so the reply means the session is terminal.
+  while (s->quantum_active && s->state == SessionState::kRunning) {
+    idle_cv_.Wait(lock);
+  }
+  if (s->state == SessionState::kRunning) {
     s->state = SessionState::kCancelled;
     s->detail = "cancelled";
     stats_.cancelled++;
@@ -400,7 +380,13 @@ std::vector<SessionRow> SessionManager::SessionRows() const {
 }
 
 std::vector<StoreShardRow> SessionManager::StoreShardRows() const {
-  const ShardedStore::Snapshot snap = store_->ShardSnapshot();
+  ShardedStore::Snapshot snap;
+  {
+    // The snapshot's resident/tail row counts read what ApplyIngest
+    // appends.
+    MutexLock store_lock(&store_mu_);
+    snap = store_->ShardSnapshot();
+  }
   std::vector<StoreShardRow> rows;
   rows.reserve(snap.shards.size());
   for (const ShardedStore::ShardStatsRow& s : snap.shards) {
@@ -606,9 +592,8 @@ void SessionManager::SchedulerLoop() {
       if (!apply_ingest) next->quantum_active = true;
     }
     if (apply_ingest) {
-      // Between quanta the shared pool is idle (Run ends on a WaitIdle
-      // barrier), so this is the externally synchronized moment the
-      // post-seal Append contract requires.
+      // Between quanta no scan is in flight: this is the externally
+      // synchronized moment the post-seal Append contract requires.
       ApplyIngest();
       continue;
     }
@@ -635,7 +620,6 @@ void SessionManager::RunQuantum(Managed* s) {
       Sm().sessions_live->Set(static_cast<int64_t>(stats_.live));
       return;
     }
-    s->stalled_on_buffer = false;
   }
 
   const uint64_t start_work = s->session->stats().work_units;
@@ -643,24 +627,17 @@ void SessionManager::RunQuantum(Managed* s) {
   const TimeMicros start_wall = MonotonicNowMicros();
 
   RunLimits limits;
+  // A quantum is a fixed slice of the session's own windows, cut short
+  // only by its budgets, so its length never depends on timing. Stop,
+  // cancel and backpressure apply at the quantum boundary below. No
+  // lock: everything read here belongs to the engine's thread.
   limits.should_stop = [this, s, start_work] {
-    // Engine-side checks first (same thread as the engine, no locks):
-    // the quantum bound and the service budgets.
     const RunStats& rs = s->session->stats();
     if (rs.work_units - start_work >= limits_.quantum_windows) return true;
     if (s->window_budget != 0 && rs.work_units >= s->window_budget) {
       return true;
     }
-    if (s->sim_budget != 0 && s->clock->NowMicros() >= s->sim_budget) {
-      return true;
-    }
-    MutexLock lock(&mu_);
-    if (stop_ || s->cancel_requested) return true;
-    if (s->buffer.size() >= limits_.update_buffer_cap) {
-      s->stalled_on_buffer = true;
-      return true;
-    }
-    return false;
+    return s->sim_budget != 0 && s->clock->NowMicros() >= s->sim_budget;
   };
   limits.on_update = [this, s](const UpdateBatch& b) {
     MutexLock lock(&mu_);
@@ -739,7 +716,10 @@ void SessionManager::RunQuantum(Managed* s) {
       slow_wall = s->wall_micros;
       stats_.slow_queries_total++;
     }
-    if (s->stalled_on_buffer && new_state == SessionState::kRunning) {
+    // Backpressure: a quantum that leaves the buffer full parks the
+    // session until a poll drains it (PickNextLocked skips it).
+    if (new_state == SessionState::kRunning &&
+        s->buffer.size() >= limits_.update_buffer_cap) {
       stats_.backpressure_stalls_total++;
       Sm().backpressure_stalls->Add();
       if (!s->stall_dumped) {
@@ -850,12 +830,12 @@ void SessionManager::MaintainStoreLocked() {
   // Seal before evicting so rows already older than the horizon move
   // into sealed segments first (eviction only ever drops a sealed
   // prefix); compact last so it sees the post-eviction live region.
-  const size_t sealed = store_->SealTail(pool_.get());
+  const size_t sealed = store_->SealTail(nullptr);
   size_t evicted = 0;
   if (limits_.retention_micros != 0) {
     evicted = store_->EvictBefore(store_->MaxTime() - limits_.retention_micros);
   }
-  const size_t compacted = store_->CompactSegments(pool_.get());
+  const size_t compacted = store_->CompactSegments(nullptr);
   APTRACE_LOG(Debug) << "service: sealed " << sealed << " tail rows"
                      << " (evicted " << evicted << " rows, compacted "
                      << compacted << " segments)";

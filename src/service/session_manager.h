@@ -16,7 +16,6 @@
 #include "util/clock.h"
 #include "util/status.h"
 #include "util/sync.h"
-#include "util/worker_pool.h"
 
 namespace aptrace::service {
 
@@ -27,8 +26,10 @@ struct ServiceLimits {
   /// requests are rejected with SRV-E002.
   int max_live_sessions = 8;
 
-  /// Windows one session may process per scheduling quantum before the
-  /// scheduler re-picks the globally neediest session.
+  /// Windows one session processes per scheduling quantum before the
+  /// scheduler re-picks the globally neediest session. A quantum is a
+  /// fixed slice: only the session's own window/sim budgets (or the end
+  /// of its run) cut it short.
   uint64_t quantum_windows = 8;
 
   /// Default per-session budgets, overridable (downward only is NOT
@@ -40,21 +41,14 @@ struct ServiceLimits {
 
   /// Undelivered update batches buffered per session before the scheduler
   /// stops scheduling it (backpressure; it resumes as polls drain the
-  /// buffer). Never rejects — it only stalls.
+  /// buffer). Never rejects — it only stalls. Checked at quantum
+  /// boundaries, so a buffer may overshoot the cap by the batches of one
+  /// quantum (at most quantum_windows - 1 beyond it).
   size_t update_buffer_cap = 256;
 
   /// Pending live-ingest events buffered before `ingest` requests are
   /// rejected with SRV-E007.
   size_t ingest_queue_cap = 4096;
-
-  /// Shared scan-worker pool width (0 = hardware concurrency). All
-  /// sessions' prefetch pipelines multiplex onto this one pool.
-  int scan_threads = 0;
-
-  /// Default ctx.scan_threads for hosted sessions (overridable per open).
-  /// Affects only the modeled-makespan accounting — results are
-  /// bit-identical at any value.
-  int session_scan_threads = 1;
 
   /// Cumulative wall micros a session may consume across its quanta
   /// before it is flagged slow: one structured `slow_query` warning line,
@@ -112,7 +106,6 @@ struct PollResult {
 /// Per-open overrides of the service defaults.
 struct OpenOptions {
   uint64_t weight = 1;  // fair-share weight; higher = larger share
-  int scan_threads = 0;  // 0 = ServiceLimits::session_scan_threads
   std::optional<uint64_t> window_budget;
   std::optional<DurationMicros> sim_budget;
   std::optional<EventId> start_event;  // explicit alert event
@@ -192,7 +185,7 @@ struct StoreShardRow {
 /// (core/query_profile.h explains the exact identities).
 struct SessionProfile {
   std::string profile_json;      // QueryProfileToJson output
-  uint64_t scan_cost_micros = 0; // ScanOverlapModel's independent total
+  uint64_t scan_cost_micros = 0; // the executor's running scan-cost sum
   TimeMicros sim_now = 0;        // session clock (>= scan_cost_micros)
   uint64_t work_units = 0;
   std::string probe_unit;        // storage unit of partitions_probed
@@ -208,28 +201,32 @@ struct SessionProfile {
 /// the cross-session choice reduces to picking which session's
 /// front-of-queue to run next; the scheduler picks the session with the
 /// smallest consumed-simulated-cost / weight (stride scheduling over
-/// virtual time, arrival order breaking ties) and runs it for one bounded
-/// quantum of `quantum_windows` windows on the shared WorkerPool. A
-/// session whose client stops polling stalls on its full update buffer
-/// and cedes the whole machine to the others.
+/// virtual time, arrival order breaking ties) and runs it for one
+/// quantum of `quantum_windows` windows on the scheduler thread itself —
+/// every scan and every seal happens there. Cancel, stop and
+/// backpressure act at quantum boundaries: a session whose client stops
+/// polling ends a quantum with a full update buffer, stalls, and cedes
+/// the whole machine to the others.
 ///
 /// Determinism: each session owns a private SimClock and its engine state
 /// never observes the interleaving (a quantum is just a should_stop-
 /// bounded Session::Step), so a daemon-hosted session produces a graph
-/// bit-identical to the same script run via `aptrace run` — at any
-/// thread count, on either storage backend
-/// (tests/service_differential_test.cc enforces this).
+/// bit-identical to the same script run via `aptrace run`, on either
+/// storage backend (tests/service_differential_test.cc enforces this).
+/// Its quantum count depends only on its own windows and budgets.
 ///
 /// Live ingestion: Ingest() validates and buffers events; the scheduler
-/// appends them to the sealed store between quanta, when the shared pool
-/// is idle and no scan can race the append (the external synchronization
-/// the post-seal Append contract requires). Running sessions' resolved
+/// appends them to the sealed store between quanta on its own thread, so
+/// no quantum's scan can race the append (the external synchronization
+/// the post-seal Append contract requires), and under store_mu_, which
+/// the store reads outside quanta also take. Running sessions' resolved
 /// time ranges are fixed at open, so their results are unaffected;
 /// sessions opened after an append see the new events.
 ///
 /// Thread-safety: every public method may be called from any connection
 /// thread. Lock order: a session's exec_mu (engine access) before the
-/// manager mutex; the store mutex (ingest vs open resolution) is leaf.
+/// manager mutex; the store mutex (ingest and seals vs open resolution
+/// and shard rows) is a leaf among the manager's locks.
 class SessionManager {
  public:
   /// The store must be sealed and outlive the manager.
@@ -255,8 +252,9 @@ class SessionManager {
   /// unstalls a backpressured session.
   Result<PollResult> Poll(uint64_t id, uint64_t cursor, size_t max_batches);
 
-  /// Stops a running session at the next window boundary (SRV-E003
-  /// unknown id; cancelling a terminal session is a no-op).
+  /// Stops a running session at the next quantum boundary, waiting for
+  /// an in-flight quantum to end, so the session is terminal on return
+  /// (SRV-E003 unknown id; cancelling a terminal session is a no-op).
   Status Cancel(uint64_t id);
 
   /// Serializes the session's current dependency graph as canonical
@@ -278,8 +276,8 @@ class SessionManager {
   std::vector<SessionRow> SessionRows() const;
 
   /// One row per store shard for the /sessions endpoint, from a single
-  /// consistent store snapshot. Safe from any thread (the store takes
-  /// its own stats lock; no manager mutex involved).
+  /// consistent store snapshot. Safe from any thread: takes store_mu_,
+  /// so the resident/tail row counts never race an ingest append.
   std::vector<StoreShardRow> StoreShardRows() const;
 
   /// Persists a paused session to `path` (core checkpoint format).
@@ -349,8 +347,7 @@ class SessionManager {
   /// between quanta.
   void ApplyIngest();
   /// Background seal -> evict -> compact, per the seal_tail_rows /
-  /// retention_micros limits. The shared pool is idle here (between
-  /// quanta), so segment builds can fan out onto it.
+  /// retention_micros limits, sequentially on the scheduler thread.
   void MaintainStoreLocked() APTRACE_REQUIRES(store_mu_);
   Result<uint64_t> Admit(std::unique_ptr<Managed> s);
   /// Writes the flight recorder to flight_dump_dir (no-op when empty).
@@ -363,7 +360,6 @@ class SessionManager {
 
   EventStore* store_;
   const ServiceLimits limits_;
-  std::unique_ptr<WorkerPool> pool_;
 
   /// Serializes ingest producers so WAL append order equals queue order
   /// (and therefore store apply order). Held across the admission check,
@@ -390,9 +386,10 @@ class SessionManager {
   bool draining_ APTRACE_GUARDED_BY(mu_) = false;
   ServiceStats stats_ APTRACE_GUARDED_BY(mu_);
 
-  /// Serializes store mutation (ingest apply) against store reads outside
-  /// quanta (open-time context resolution). Leaf lock.
-  Mutex store_mu_{"SessionManager::store_mu_"};
+  /// Serializes store mutation (ingest apply, seals) against store reads
+  /// outside quanta (open-time context resolution, /sessions shard rows).
+  /// Leaf among the manager's locks; only the store's own nest inside.
+  mutable Mutex store_mu_{"SessionManager::store_mu_"};
 
   std::thread scheduler_;
 };

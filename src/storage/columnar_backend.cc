@@ -493,46 +493,6 @@ RangeScanBatch ColumnarSegmentBackend::CollectRange(TimeMicros begin,
   return batch;
 }
 
-size_t ColumnarSegmentBackend::CountDestRows(ObjectId dest, TimeMicros begin,
-                                             TimeMicros end, uint64_t* probed,
-                                             uint64_t* seeked,
-                                             uint64_t* pruned) const {
-  assert(sealed());
-  size_t rows = 0;
-  for (size_t i = FirstSegmentFor(begin);
-       i < segments_.size() && segments_[i].zone.ts_min < end; ++i) {
-    const Segment& s = segments_[i];
-    if (!ZoneMayMatch(s.zone, dest, /*by_src=*/false)) {
-      (*pruned)++;
-      continue;
-    }
-    (*probed)++;
-    const auto r0 =
-        std::lower_bound(s.ts.begin(), s.ts.end(), begin) - s.ts.begin();
-    const auto r1 = std::lower_bound(s.ts.begin() + r0, s.ts.end(), end) -
-                    s.ts.begin();
-    size_t here = 0;
-    for (auto r = static_cast<size_t>(r0); r < static_cast<size_t>(r1); ++r) {
-      if (FlowKeyAt(s, r, /*by_src=*/false) == dest) here++;
-    }
-    if (here > 0) (*seeked)++;
-    rows += here;
-  }
-  if (!tail_.empty()) {
-    const auto [t0, t1] = TailBounds(begin, end);
-    if (t0 < t1) {
-      (*probed)++;
-      size_t here = 0;
-      for (size_t i = t0; i < t1; ++i) {
-        if (tail_[tail_sorted_[i]].FlowDest() == dest) here++;
-      }
-      if (here > 0) (*seeked)++;
-      rows += here;
-    }
-  }
-  return rows;
-}
-
 bool ColumnarSegmentBackend::HasIncomingWrite(ObjectId object,
                                               TimeMicros begin,
                                               TimeMicros end) const {

@@ -83,11 +83,6 @@ class ColumnarSegmentBackend final : public StorageBackend {
   size_t FirstLiveSegment() const { return first_live_; }
   size_t NumLiveSegments() const { return segments_.size() - first_live_; }
 
- protected:
-  size_t CountDestRows(ObjectId dest, TimeMicros begin, TimeMicros end,
-                       uint64_t* probed, uint64_t* seeked,
-                       uint64_t* pruned) const override;
-
  private:
   using Fingerprint = std::array<uint64_t, kFingerprintWords>;
 

@@ -183,13 +183,6 @@ class EventStore {
                                 probe_out);
   }
 
-  /// Number of rows ScanDest would match, without fetching them (charges
-  /// only probe/overhead cost — models a COUNT(*) over the index).
-  size_t CountDest(ObjectId dest, TimeMicros begin, TimeMicros end,
-                   Clock* clock) const {
-    return backend_->CountDest(dest, begin, end, clock);
-  }
-
   /// Mirror of ScanDest for forward tracking: events whose data-flow
   /// *source* is `src` within [begin, end), ascending by time.
   size_t ScanSrc(ObjectId src, TimeMicros begin, TimeMicros end, Clock* clock,

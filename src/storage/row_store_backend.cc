@@ -156,28 +156,6 @@ RangeScanBatch RowStoreBackend::CollectRange(TimeMicros begin,
   return batch;
 }
 
-size_t RowStoreBackend::CountDestRows(ObjectId dest, TimeMicros begin,
-                                      TimeMicros end, uint64_t* probed,
-                                      uint64_t* seeked,
-                                      uint64_t* pruned) const {
-  assert(sealed());
-  (void)pruned;  // the row store has no zone maps to prune with
-  size_t rows = 0;
-  const int64_t p_lo = PartitionIndex(begin);
-  const int64_t p_hi = PartitionIndex(end - 1);
-  for (auto it = partitions_.lower_bound(p_lo);
-       it != partitions_.end() && it->first <= p_hi; ++it) {
-    (*probed)++;
-    const auto found = it->second.by_dest.find(dest);
-    if (found == it->second.by_dest.end()) continue;
-    const auto [lo, hi] = TimeBounds(found->second, events_, begin, end);
-    if (lo == hi) continue;
-    (*seeked)++;
-    rows += hi - lo;
-  }
-  return rows;
-}
-
 bool RowStoreBackend::HasIncomingWrite(ObjectId object, TimeMicros begin,
                                        TimeMicros end) const {
   assert(sealed());

@@ -39,11 +39,6 @@ class RowStoreBackend final : public StorageBackend {
 
   size_t NumPartitions() const { return partitions_.size(); }
 
- protected:
-  size_t CountDestRows(ObjectId dest, TimeMicros begin, TimeMicros end,
-                       uint64_t* probed, uint64_t* seeked,
-                       uint64_t* pruned) const override;
-
  private:
   struct Partition {
     // Event ids with FlowDest == key, sorted by timestamp (ties by id).

@@ -395,35 +395,6 @@ size_t ShardedStore::ReplayScan(const RangeScanBatch& batch, Clock* clock,
   return rows;
 }
 
-size_t ShardedStore::CountDest(ObjectId dest, TimeMicros begin, TimeMicros end,
-                               Clock* clock) const {
-  assert(sealed());
-  RangeScanBatch batch;
-  if (begin < end) {
-    batch = Gather(/*by_src=*/false, dest, MaskFor(dest_shards_, dest),
-                   catalog_->Get(dest).host(), begin, end);
-  }
-  // COUNT over the index: no per-row fetch cost.
-  const DurationMicros cost = cost_model().QueryCost(
-      0, 0, batch.partitions_probed, batch.partitions_seeked);
-  if (clock != nullptr) clock->AdvanceMicros(cost);
-  ChargeSharded(batch, {}, {}, 0, 0, cost);
-  ChargeQueryMetrics(0, 0, batch.segments_pruned);
-  return batch.rows.size();
-}
-
-size_t ShardedStore::CountDestRows(ObjectId dest, TimeMicros begin,
-                                   TimeMicros end, uint64_t* probed,
-                                   uint64_t* seeked, uint64_t* pruned) const {
-  const RangeScanBatch batch =
-      Gather(/*by_src=*/false, dest, MaskFor(dest_shards_, dest),
-             catalog_->Get(dest).host(), begin, end);
-  *probed = batch.partitions_probed;
-  *seeked = batch.partitions_seeked;
-  *pruned = batch.segments_pruned;
-  return batch.rows.size();
-}
-
 size_t ShardedStore::SealTail(WorkerPool* pool) {
   size_t sealed_rows = 0;
   for (Shard& s : shards_) sealed_rows += s.backend->SealTail(pool);

@@ -55,7 +55,7 @@ struct EventStoreOptions;
 ///
 /// Thread-safety: identical to StorageBackend's read-after-build
 /// contract. Collect*/Get/HasIncomingWrite/FlowDestsOf touch no mutable
-/// state; ReplayScan/CountDest serialize counter updates behind the
+/// state; ReplayScan serializes counter updates behind the
 /// single aggregation mutex (a leaf lock; see docs/concurrency.md).
 class ShardedStore final : public StorageBackend {
  public:
@@ -109,9 +109,6 @@ class ShardedStore final : public StorageBackend {
                     DurationMicros* cost_out = nullptr,
                     ScanProbeStats* probe_out = nullptr) const override;
 
-  size_t CountDest(ObjectId dest, TimeMicros begin, TimeMicros end,
-                   Clock* clock) const override;
-
   /// Tiered-storage lifecycle: each call fans out to every shard (same
   /// external-synchronization contract as the base class).
   size_t SealTail(WorkerPool* pool) override;
@@ -124,11 +121,6 @@ class ShardedStore final : public StorageBackend {
 
   /// One consistent (total, per-shard) snapshot under a single lock.
   Snapshot TakeSnapshot() const;
-
- protected:
-  size_t CountDestRows(ObjectId dest, TimeMicros begin, TimeMicros end,
-                       uint64_t* probed, uint64_t* seeked,
-                       uint64_t* pruned) const override;
 
  private:
   struct Shard {

@@ -163,30 +163,4 @@ void StorageBackend::ChargeQueryMetrics(uint64_t rows_scanned,
   m.segments_pruned->Add(segments_pruned);
 }
 
-size_t StorageBackend::CountDest(ObjectId dest, TimeMicros begin,
-                                 TimeMicros end, Clock* clock) const {
-  assert(sealed_);
-  uint64_t probed = 0;
-  uint64_t seeked = 0;
-  uint64_t pruned = 0;
-  size_t rows = 0;
-  if (begin < end) {
-    rows = CountDestRows(dest, begin, end, &probed, &seeked, &pruned);
-  }
-  // COUNT over the index: no per-row fetch cost.
-  const DurationMicros cost = cost_model_.QueryCost(0, 0, probed, seeked);
-  if (clock != nullptr) clock->AdvanceMicros(cost);
-  {
-    MutexLock lock(&stats_mu_);
-    stats_.queries++;
-    stats_.partitions_probed += probed;
-    stats_.partitions_seeked += seeked;
-    stats_.segments_pruned += pruned;
-    stats_.simulated_cost += cost;
-  }
-  // Index-only COUNT: no event rows touched.
-  ChargeQueryMetrics(0, 0, pruned);
-  return rows;
-}
-
 }  // namespace aptrace

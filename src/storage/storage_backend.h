@@ -155,7 +155,7 @@ struct RangeScanBatch {
 ///     analysis output bit-identical across backends (only the simulated
 ///     cost may differ, via the probe counters).
 ///   - non-virtual replay/charge calls implemented once in this base
-///     class: ReplayScan/CountDest apply filters, advance the clock by
+///     class: ReplayScan applies filters, advances the clock by
 ///     CostModel::QueryCost, and record stats/metrics.
 ///
 /// Thread-safety (the read-after-build contract): construction —
@@ -163,8 +163,8 @@ struct RangeScanBatch {
 /// externally synchronized). After Seal(), any number of threads may call
 /// every const member concurrently: Collect*/Get/HasIncomingWrite/
 /// FlowDestsOf touch no mutable state at all (the Executor's scan workers
-/// rely on this for zero cross-thread traffic), and ReplayScan/CountDest
-/// serialize only their counter updates behind a single stats mutex so
+/// rely on this for zero cross-thread traffic), and ReplayScan
+/// serializes only its counter updates behind a single stats mutex so
 /// stats() snapshots are consistent across fields. Post-seal streaming
 /// Append()s require external synchronization with all queries, exactly
 /// as before the refactor.
@@ -242,11 +242,6 @@ class StorageBackend {
                             DurationMicros* cost_out = nullptr,
                             ScanProbeStats* probe_out = nullptr) const;
 
-  /// Number of rows CollectDest would match, without fetching them
-  /// (charges only probe/overhead cost — models a COUNT(*) on the index).
-  virtual size_t CountDest(ObjectId dest, TimeMicros begin, TimeMicros end,
-                           Clock* clock) const;
-
   /// --- Tiered-storage lifecycle (docs/durability.md) ---
   ///
   /// The columnar backend implements the hot-tail -> sealed -> compacted
@@ -303,12 +298,6 @@ class StorageBackend {
   /// still charge the exact same metrics.
   void ChargeQueryMetrics(uint64_t rows_scanned, uint64_t rows_filtered,
                           uint64_t segments_pruned) const;
-
-  /// Count-only variant of CollectDest, with the same probe accounting.
-  virtual size_t CountDestRows(ObjectId dest, TimeMicros begin,
-                               TimeMicros end, uint64_t* probed,
-                               uint64_t* seeked,
-                               uint64_t* pruned) const = 0;
 
   /// Derived Append() implementations call this to maintain MinTime /
   /// MaxTime; derived Seal() calls MarkSealed once the layout is built.

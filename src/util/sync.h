@@ -191,10 +191,12 @@ class APTRACE_CAPABILITY("mutex") Mutex {
   }
 
   void Unlock() APTRACE_RELEASE() {
-    mu_.unlock();
 #if APTRACE_LOCK_ORDER_CHECK
+    // Before the release: once mu_ is free, a waiter may destroy this
+    // Mutex (a stack latch) and order_node_ with it.
     sync_internal::OnRelease(order_node_);
 #endif
+    mu_.unlock();
   }
 
   bool TryLock(const std::source_location& loc =

@@ -34,17 +34,6 @@ bool WorkerPool::Submit(std::function<void()> task) {
   return true;
 }
 
-bool WorkerPool::TrySubmit(std::function<void()> task, size_t max_pending) {
-  {
-    MutexLock lock(&mu_);
-    if (!accepting_) return false;
-    if (queue_.size() >= max_pending) return false;
-    queue_.push_back(std::move(task));
-  }
-  work_cv_.NotifyOne();
-  return true;
-}
-
 void WorkerPool::WaitIdle() {
   // A pool thread waiting for the pool to drain waits for itself: its
   // own task counts in active_, so the predicate can never become true.

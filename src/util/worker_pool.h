@@ -22,10 +22,6 @@ namespace aptrace {
 ///   - Submit() enqueues a task; returns false once Shutdown() started
 ///     (the task is not queued, nothing is dropped on the floor mid-run,
 ///     and the call never crashes — callers own the rejected work).
-///   - TrySubmit() is Submit() with a backlog cap: it additionally
-///     returns false, without queueing, when `max_pending` tasks are
-///     already waiting. Schedulers use it as a backpressure valve so one
-///     producer cannot grow the shared queue without bound.
 ///   - WaitIdle() blocks until the queue is empty and no task is running —
 ///     the coordinator's barrier before it mutates state workers read.
 ///   - Shutdown(run_pending) stops accepting work; run_pending=true drains
@@ -57,8 +53,6 @@ class WorkerPool {
   static constexpr int kMaxThreads = 64;
 
   bool Submit(std::function<void()> task) APTRACE_EXCLUDES(mu_);
-  bool TrySubmit(std::function<void()> task, size_t max_pending)
-      APTRACE_EXCLUDES(mu_);
 
   /// Blocks until no task is queued or running. Throws std::logic_error
   /// when called from one of this pool's own worker threads.

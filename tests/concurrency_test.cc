@@ -281,9 +281,9 @@ TEST(ConcurrencyTest, ShardedStatsSnapshotsReconcileUnderScans) {
   EXPECT_GT(snapshots.back().total.queries, 0u);
 }
 
-// TrySubmit racing Shutdown: the valve must cleanly return false once
-// the pool stops, never crash or leak a queued-but-dropped task count.
-TEST(ConcurrencyTest, TrySubmitRacesShutdownSafely) {
+// Submit racing Shutdown: it must cleanly return false once the pool
+// stops, never crash or leak a queued-but-dropped task count.
+TEST(ConcurrencyTest, SubmitRacesShutdownSafely) {
   for (int round = 0; round < 8; ++round) {
     WorkerPool pool(2);
     std::atomic<int> accepted{0};
@@ -292,7 +292,7 @@ TEST(ConcurrencyTest, TrySubmitRacesShutdownSafely) {
     for (int s = 0; s < 4; ++s) {
       submitters.emplace_back([&] {
         for (int i = 0; i < 200; ++i) {
-          if (pool.TrySubmit([&ran] { ran.fetch_add(1); }, 64)) {
+          if (pool.Submit([&ran] { ran.fetch_add(1); })) {
             accepted.fetch_add(1);
           }
         }

@@ -1,9 +1,10 @@
 // Differential oracle, service axis: N >= 4 tracking sessions served
 // concurrently by the daemon's SessionManager must each produce a final
 // graph byte-identical to a sequential CLI-style run of the same spec —
-// across session scan-thread counts {1, 4} and both storage backends.
-// The cross-session fair-share scheduler interleaves the sessions'
-// quanta arbitrarily; none of that interleaving may leak into results.
+// on both storage backends, over sharded, durable and distributed
+// stores. The cross-session fair-share scheduler interleaves the
+// sessions' quanta arbitrarily; none of that interleaving may leak into
+// results.
 
 #include <unistd.h>
 
@@ -34,12 +35,9 @@ namespace {
 
 /// Sequential reference: plain Session start/step/finish, the exact code
 /// path `aptrace run` drives.
-std::string DirectRunGraph(const RandomTrace& t, const std::string& script,
-                           int scan_threads) {
+std::string DirectRunGraph(const RandomTrace& t, const std::string& script) {
   SimClock clock;
-  SessionOptions options;
-  options.scan_threads = scan_threads;
-  Session session(t.store.get(), &clock, options);
+  Session session(t.store.get(), &clock);
   EXPECT_TRUE(session.Start(script, t.alert).ok());
   auto reason = session.Step();
   EXPECT_TRUE(reason.ok()) << reason.status();
@@ -67,53 +65,48 @@ class ServiceDifferential
 
 TEST_P(ServiceDifferential, ConcurrentSessionsBitIdenticalToSequential) {
   const StorageBackendKind backend = GetParam();
-  for (const int scan_threads : {1, 4}) {
-    const RandomTrace t = MakeRandomTrace(97, 600, backend);
-    const std::vector<std::string> variants = SpecVariants(t);
+  const RandomTrace t = MakeRandomTrace(97, 600, backend);
+  const std::vector<std::string> variants = SpecVariants(t);
 
-    // Sequential references first (one at a time, nothing shared).
-    std::vector<std::string> expected;
-    expected.reserve(variants.size());
-    for (const std::string& script : variants) {
-      expected.push_back(DirectRunGraph(t, script, scan_threads));
-    }
+  // Sequential references first (one at a time, nothing shared).
+  std::vector<std::string> expected;
+  expected.reserve(variants.size());
+  for (const std::string& script : variants) {
+    expected.push_back(DirectRunGraph(t, script));
+  }
 
-    // Then all variants live in the daemon at once, interleaved by the
-    // fair-share scheduler onto one shared worker pool.
-    ServiceLimits limits;
-    limits.quantum_windows = 2;  // force many interleavings
-    limits.scan_threads = 4;
-    SessionManager manager(t.store.get(), limits);
-    std::vector<uint64_t> ids;
-    for (const std::string& script : variants) {
-      OpenOptions opts;
-      opts.start_event = t.alert.id;
-      opts.scan_threads = scan_threads;
-      auto id = manager.Open(script, opts);
-      ASSERT_TRUE(id.ok()) << id.status();
-      ids.push_back(id.value());
-    }
-    ASSERT_TRUE(manager.WaitAllTerminal(60'000'000));
+  // Then all variants live in the daemon at once, interleaved by the
+  // fair-share scheduler.
+  ServiceLimits limits;
+  limits.quantum_windows = 2;  // force many interleavings
+  SessionManager manager(t.store.get(), limits);
+  std::vector<uint64_t> ids;
+  for (const std::string& script : variants) {
+    OpenOptions opts;
+    opts.start_event = t.alert.id;
+    auto id = manager.Open(script, opts);
+    ASSERT_TRUE(id.ok()) << id.status();
+    ids.push_back(id.value());
+  }
+  ASSERT_TRUE(manager.WaitAllTerminal(60'000'000));
 
-    for (size_t i = 0; i < ids.size(); ++i) {
-      auto poll = manager.Poll(ids[i], 0, 0);
-      ASSERT_TRUE(poll.ok());
-      EXPECT_EQ(poll->state, SessionState::kDone)
-          << "variant " << i << ": " << poll->detail;
-      auto graph = manager.GraphJson(ids[i]);
-      ASSERT_TRUE(graph.ok());
-      EXPECT_EQ(graph.value(), expected[i])
-          << "variant " << i << " threads=" << scan_threads << " backend="
-          << StorageBackendName(backend);
-    }
+  for (size_t i = 0; i < ids.size(); ++i) {
+    auto poll = manager.Poll(ids[i], 0, 0);
+    ASSERT_TRUE(poll.ok());
+    EXPECT_EQ(poll->state, SessionState::kDone)
+        << "variant " << i << ": " << poll->detail;
+    auto graph = manager.GraphJson(ids[i]);
+    ASSERT_TRUE(graph.ok());
+    EXPECT_EQ(graph.value(), expected[i])
+        << "variant " << i << " backend=" << StorageBackendName(backend);
   }
 }
 
 // Shard axis: concurrent daemon sessions over a store partitioned into
 // {2, 4, 8} shards must serve graphs byte-identical to sequential runs
-// over the monolithic (shards = 1) store, at session scan-thread counts
-// {1, 4} — and the /sessions per-shard rows must sum exactly to the
-// store totals (the single-snapshot-lock contract, docs/sharding.md).
+// over the monolithic (shards = 1) store — and the /sessions per-shard
+// rows must sum exactly to the store totals (the single-snapshot-lock
+// contract, docs/sharding.md).
 TEST_P(ServiceDifferential, ShardedSessionsBitIdenticalToMonolithic) {
   const StorageBackendKind backend = GetParam();
   for (const size_t shards : {size_t{2}, size_t{4}, size_t{8}}) {
@@ -123,63 +116,58 @@ TEST_P(ServiceDifferential, ShardedSessionsBitIdenticalToMonolithic) {
     const std::vector<std::string> variants = SpecVariants(t);
     ASSERT_EQ(SpecVariants(mono), variants);
 
-    for (const int scan_threads : {1, 4}) {
-      std::vector<std::string> expected;
-      expected.reserve(variants.size());
-      for (const std::string& script : variants) {
-        expected.push_back(DirectRunGraph(mono, script, scan_threads));
-      }
-
-      ServiceLimits limits;
-      limits.quantum_windows = 2;
-      limits.scan_threads = 4;
-      SessionManager manager(t.store.get(), limits);
-      std::vector<uint64_t> ids;
-      for (const std::string& script : variants) {
-        OpenOptions opts;
-        opts.start_event = t.alert.id;
-        opts.scan_threads = scan_threads;
-        auto id = manager.Open(script, opts);
-        ASSERT_TRUE(id.ok()) << id.status();
-        ids.push_back(id.value());
-      }
-      ASSERT_TRUE(manager.WaitAllTerminal(60'000'000));
-
-      for (size_t i = 0; i < ids.size(); ++i) {
-        auto graph = manager.GraphJson(ids[i]);
-        ASSERT_TRUE(graph.ok());
-        EXPECT_EQ(graph.value(), expected[i])
-            << "variant " << i << " shards=" << shards
-            << " threads=" << scan_threads << " backend="
-            << StorageBackendName(backend);
-      }
-
-      // Per-shard rows (the /sessions payload) reconcile exactly with
-      // the store totals. `scans` is per-touched-shard and so sums to
-      // >= the store's query count.
-      const std::vector<StoreShardRow> rows = manager.StoreShardRows();
-      EXPECT_EQ(rows.size(), shards);
-      const StoreStats total = t.store->stats();
-      uint64_t matched = 0, filtered = 0, probed = 0, seeked = 0,
-               pruned = 0, resident = 0, scans = 0;
-      for (const StoreShardRow& row : rows) {
-        matched += row.rows_matched;
-        filtered += row.rows_filtered;
-        probed += row.partitions_probed;
-        seeked += row.partitions_seeked;
-        pruned += row.segments_pruned;
-        resident += row.resident_rows;
-        scans += row.scans;
-      }
-      EXPECT_EQ(matched, total.rows_matched);
-      EXPECT_EQ(filtered, total.rows_filtered);
-      EXPECT_EQ(probed, total.partitions_probed);
-      EXPECT_EQ(seeked, total.partitions_seeked);
-      EXPECT_EQ(pruned, total.segments_pruned);
-      EXPECT_EQ(resident, t.store->NumEvents());
-      EXPECT_GE(scans, total.queries);
-      manager.StopAndJoin();
+    std::vector<std::string> expected;
+    expected.reserve(variants.size());
+    for (const std::string& script : variants) {
+      expected.push_back(DirectRunGraph(mono, script));
     }
+
+    ServiceLimits limits;
+    limits.quantum_windows = 2;
+    SessionManager manager(t.store.get(), limits);
+    std::vector<uint64_t> ids;
+    for (const std::string& script : variants) {
+      OpenOptions opts;
+      opts.start_event = t.alert.id;
+      auto id = manager.Open(script, opts);
+      ASSERT_TRUE(id.ok()) << id.status();
+      ids.push_back(id.value());
+    }
+    ASSERT_TRUE(manager.WaitAllTerminal(60'000'000));
+
+    for (size_t i = 0; i < ids.size(); ++i) {
+      auto graph = manager.GraphJson(ids[i]);
+      ASSERT_TRUE(graph.ok());
+      EXPECT_EQ(graph.value(), expected[i])
+          << "variant " << i << " shards=" << shards
+          << " backend=" << StorageBackendName(backend);
+    }
+
+    // Per-shard rows (the /sessions payload) reconcile exactly with the
+    // store totals. `scans` is per-touched-shard and so sums to >= the
+    // store's query count.
+    const std::vector<StoreShardRow> rows = manager.StoreShardRows();
+    EXPECT_EQ(rows.size(), shards);
+    const StoreStats total = t.store->stats();
+    uint64_t matched = 0, filtered = 0, probed = 0, seeked = 0, pruned = 0,
+             resident = 0, scans = 0;
+    for (const StoreShardRow& row : rows) {
+      matched += row.rows_matched;
+      filtered += row.rows_filtered;
+      probed += row.partitions_probed;
+      seeked += row.partitions_seeked;
+      pruned += row.segments_pruned;
+      resident += row.resident_rows;
+      scans += row.scans;
+    }
+    EXPECT_EQ(matched, total.rows_matched);
+    EXPECT_EQ(filtered, total.rows_filtered);
+    EXPECT_EQ(probed, total.partitions_probed);
+    EXPECT_EQ(seeked, total.partitions_seeked);
+    EXPECT_EQ(pruned, total.segments_pruned);
+    EXPECT_EQ(resident, t.store->NumEvents());
+    EXPECT_GE(scans, total.queries);
+    manager.StopAndJoin();
   }
 }
 
@@ -187,7 +175,7 @@ TEST_P(ServiceDifferential, ShardedSessionsBitIdenticalToMonolithic) {
 // tail sealing), crash without any drain snapshot, recover the data dir,
 // and serve sessions over the recovered store — every graph must be
 // byte-identical to a sequential run over the store that never crashed,
-// across both backends and session scan-thread counts {1, 4}.
+// on both backends.
 TEST_P(ServiceDifferential, DurableIngestCrashRecoverServesIdenticalGraphs) {
   const StorageBackendKind backend = GetParam();
   FileEnv* env = FileEnv::Posix();
@@ -219,10 +207,7 @@ TEST_P(ServiceDifferential, DurableIngestCrashRecoverServesIdenticalGraphs) {
     for (Event e : batch) t.store->Append(e);
   }
   const std::string script = UnconstrainedScript(t);
-  std::vector<std::string> expected;
-  for (const int threads : {1, 4}) {
-    expected.push_back(DirectRunGraph(t, script, threads));
-  }
+  const std::string expected = DirectRunGraph(t, script);
 
   // Durable daemon: recover the dir (first boot: fallback trace), accept
   // every batch through the acked ingest path with background sealing
@@ -287,21 +272,15 @@ TEST_P(ServiceDifferential, DurableIngestCrashRecoverServesIdenticalGraphs) {
       << recovered->wal.diagnostic;
 
   SessionManager manager(recovered->store.get(), ServiceLimits{});
-  size_t which = 0;
-  for (const int threads : {1, 4}) {
-    OpenOptions opts;
-    opts.start_event = t.alert.id;
-    opts.scan_threads = threads;
-    auto id = manager.Open(script, opts);
-    ASSERT_TRUE(id.ok()) << id.status();
-    ASSERT_TRUE(manager.WaitAllTerminal(60'000'000));
-    auto graph = manager.GraphJson(id.value());
-    ASSERT_TRUE(graph.ok()) << graph.status();
-    EXPECT_EQ(graph.value(), expected[which])
-        << "threads=" << threads << " backend="
-        << StorageBackendName(backend);
-    which++;
-  }
+  OpenOptions opts;
+  opts.start_event = t.alert.id;
+  auto id = manager.Open(script, opts);
+  ASSERT_TRUE(id.ok()) << id.status();
+  ASSERT_TRUE(manager.WaitAllTerminal(60'000'000));
+  auto graph = manager.GraphJson(id.value());
+  ASSERT_TRUE(graph.ok()) << graph.status();
+  EXPECT_EQ(graph.value(), expected)
+      << "backend=" << StorageBackendName(backend);
   manager.StopAndJoin();
 }
 
@@ -342,10 +321,7 @@ TEST_P(ServiceDifferential, ShardedDurableIngestCrashRecover) {
     for (Event e : batch) mono.store->Append(e);
   }
   const std::string script = UnconstrainedScript(mono);
-  std::vector<std::string> expected;
-  for (const int threads : {1, 4}) {
-    expected.push_back(DirectRunGraph(mono, script, threads));
-  }
+  const std::string expected = DirectRunGraph(mono, script);
 
   const std::string dir = ::testing::TempDir() + "/svc_shard_durable_dir_" +
                           std::string(StorageBackendName(backend)) + "." +
@@ -402,21 +378,15 @@ TEST_P(ServiceDifferential, ShardedDurableIngestCrashRecover) {
   EXPECT_EQ(recovered->store->shard_count(), kShards);
 
   SessionManager manager(recovered->store.get(), ServiceLimits{});
-  size_t which = 0;
-  for (const int threads : {1, 4}) {
-    OpenOptions opts;
-    opts.start_event = t.alert.id;
-    opts.scan_threads = threads;
-    auto id = manager.Open(script, opts);
-    ASSERT_TRUE(id.ok()) << id.status();
-    ASSERT_TRUE(manager.WaitAllTerminal(60'000'000));
-    auto graph = manager.GraphJson(id.value());
-    ASSERT_TRUE(graph.ok()) << graph.status();
-    EXPECT_EQ(graph.value(), expected[which])
-        << "threads=" << threads << " backend="
-        << StorageBackendName(backend);
-    which++;
-  }
+  OpenOptions opts;
+  opts.start_event = t.alert.id;
+  auto id = manager.Open(script, opts);
+  ASSERT_TRUE(id.ok()) << id.status();
+  ASSERT_TRUE(manager.WaitAllTerminal(60'000'000));
+  auto graph = manager.GraphJson(id.value());
+  ASSERT_TRUE(graph.ok()) << graph.status();
+  EXPECT_EQ(graph.value(), expected)
+      << "backend=" << StorageBackendName(backend);
   manager.StopAndJoin();
 }
 
@@ -424,7 +394,7 @@ TEST_P(ServiceDifferential, ShardedDurableIngestCrashRecover) {
 // shards are RemoteShardBackends talking to a real 4-daemon shardd fleet
 // (docs/distribution.md). Every daemon-served graph must stay
 // byte-identical to a sequential run over the monolithic in-process
-// store, at session scan-thread counts {1, 4}, both backends.
+// store, on both backends.
 TEST_P(ServiceDifferential, DistributedSessionsBitIdenticalToMonolithic) {
   const StorageBackendKind backend = GetParam();
   dist::FleetOptions fleet_options;
@@ -463,41 +433,36 @@ TEST_P(ServiceDifferential, DistributedSessionsBitIdenticalToMonolithic) {
       });
   const std::vector<std::string> variants = SpecVariants(mono);
 
-  for (const int scan_threads : {1, 4}) {
-    std::vector<std::string> expected;
-    expected.reserve(variants.size());
-    for (const std::string& script : variants) {
-      expected.push_back(DirectRunGraph(mono, script, scan_threads));
-    }
-
-    ServiceLimits limits;
-    limits.quantum_windows = 2;
-    limits.scan_threads = 4;
-    SessionManager manager(t.store.get(), limits);
-    std::vector<uint64_t> ids;
-    for (const std::string& script : variants) {
-      OpenOptions opts;
-      opts.start_event = t.alert.id;
-      opts.scan_threads = scan_threads;
-      auto id = manager.Open(script, opts);
-      ASSERT_TRUE(id.ok()) << id.status();
-      ids.push_back(id.value());
-    }
-    ASSERT_TRUE(manager.WaitAllTerminal(120'000'000));
-
-    for (size_t i = 0; i < ids.size(); ++i) {
-      auto poll = manager.Poll(ids[i], 0, 0);
-      ASSERT_TRUE(poll.ok());
-      EXPECT_EQ(poll->state, SessionState::kDone)
-          << "variant " << i << ": " << poll->detail;
-      auto graph = manager.GraphJson(ids[i]);
-      ASSERT_TRUE(graph.ok());
-      EXPECT_EQ(graph.value(), expected[i])
-          << "variant " << i << " threads=" << scan_threads
-          << " backend=" << StorageBackendName(backend);
-    }
-    manager.StopAndJoin();
+  std::vector<std::string> expected;
+  expected.reserve(variants.size());
+  for (const std::string& script : variants) {
+    expected.push_back(DirectRunGraph(mono, script));
   }
+
+  ServiceLimits limits;
+  limits.quantum_windows = 2;
+  SessionManager manager(t.store.get(), limits);
+  std::vector<uint64_t> ids;
+  for (const std::string& script : variants) {
+    OpenOptions opts;
+    opts.start_event = t.alert.id;
+    auto id = manager.Open(script, opts);
+    ASSERT_TRUE(id.ok()) << id.status();
+    ids.push_back(id.value());
+  }
+  ASSERT_TRUE(manager.WaitAllTerminal(120'000'000));
+
+  for (size_t i = 0; i < ids.size(); ++i) {
+    auto poll = manager.Poll(ids[i], 0, 0);
+    ASSERT_TRUE(poll.ok());
+    EXPECT_EQ(poll->state, SessionState::kDone)
+        << "variant " << i << ": " << poll->detail;
+    auto graph = manager.GraphJson(ids[i]);
+    ASSERT_TRUE(graph.ok());
+    EXPECT_EQ(graph.value(), expected[i])
+        << "variant " << i << " backend=" << StorageBackendName(backend);
+  }
+  manager.StopAndJoin();
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, ServiceDifferential,

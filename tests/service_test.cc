@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <fstream>
@@ -232,6 +233,101 @@ TEST(ServiceTest, BackpressureStallsUntilPolled) {
   auto graph = manager.GraphJson(id.value());
   ASSERT_TRUE(graph.ok());
   EXPECT_EQ(graph.value(), expected);
+}
+
+TEST(ServiceTest, QuantaDoNotDependOnPollTiming) {
+  // A quantum is a fixed slice of the session's own windows: backpressure
+  // parks a session between quanta but never cuts one short, so a slow
+  // poller on a one-batch buffer sees the same quanta and the same graph
+  // as a prompt poller on the default buffer.
+  RandomTrace t = MakeRandomTrace(13, 400);
+  const std::string script = UnconstrainedScript(t);
+  OpenOptions opts;
+  opts.start_event = t.alert.id;
+  const auto serve = [&](size_t buffer_cap, uint64_t pause_micros,
+                         std::string* graph, ServiceStats* stats) {
+    ServiceLimits limits;
+    limits.update_buffer_cap = buffer_cap;
+    SessionManager manager(t.store.get(), limits);
+    auto id = manager.Open(script, opts);
+    ASSERT_TRUE(id.ok()) << id.status();
+    uint64_t cursor = 0;
+    ASSERT_TRUE(WaitFor(
+        [&] {
+          auto p = manager.Poll(id.value(), cursor, 0);
+          if (!p.ok()) return false;
+          cursor = p->next_cursor;
+          std::this_thread::sleep_for(std::chrono::microseconds(pause_micros));
+          return p->terminal;
+        },
+        kWaitMicros));
+    auto g = manager.GraphJson(id.value());
+    ASSERT_TRUE(g.ok()) << g.status();
+    *graph = g.value();
+    *stats = manager.stats();
+  };
+  std::string prompt_graph, slow_graph;
+  ServiceStats prompt, slow;
+  ASSERT_NO_FATAL_FAILURE(serve(ServiceLimits{}.update_buffer_cap, 0,
+                                &prompt_graph, &prompt));
+  ASSERT_NO_FATAL_FAILURE(serve(1, 2000, &slow_graph, &slow));
+  EXPECT_EQ(slow_graph, prompt_graph);
+  EXPECT_EQ(prompt.done, 1u);
+  EXPECT_EQ(slow.done, 1u);
+  EXPECT_GT(prompt.quanta_total, 1u);
+  EXPECT_EQ(slow.quanta_total, prompt.quanta_total);
+  EXPECT_GT(slow.backpressure_stalls_total, 0u);
+}
+
+TEST(ServiceTest, OpenAndShardRowsRaceIngestSeals) {
+  // Open looks up its start event and /sessions reads the shard rows
+  // while the scheduler appends live ingest and seals the columnar tail,
+  // which recuts the segments those reads walk. Both must take the
+  // store lock; the sanitizer legs run this to catch any that do not.
+  RandomTrace t = MakeRandomTrace(24, 400, StorageBackendKind::kColumnar);
+  const size_t before = t.store->NumEvents();
+  constexpr size_t kBatches = 200;
+  constexpr size_t kBatchRows = 8;
+  ServiceLimits limits;
+  limits.seal_tail_rows = 2 * kBatchRows;  // a seal every other batch
+  limits.max_live_sessions = 1 << 20;
+  SessionManager manager(t.store.get(), limits);
+  const std::string script = UnconstrainedScript(t);
+
+  std::atomic<bool> ingesting{true};
+  std::thread ingest([&] {
+    for (size_t b = 0; b < kBatches; ++b) {
+      std::vector<Event> batch;
+      for (size_t i = 0; i < kBatchRows; ++i) {
+        Event e = t.events[(b * kBatchRows + i) % t.events.size()];
+        e.timestamp += 50000;  // arrives after the sealed history
+        batch.push_back(e);
+      }
+      EXPECT_TRUE(manager.Ingest(std::move(batch)).ok());
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    ingesting.store(false);
+  });
+  std::thread scraper([&] {
+    while (ingesting.load()) {
+      EXPECT_FALSE(manager.StoreShardRows().empty());
+    }
+  });
+  for (int opened = 0; opened < 600 && ingesting.load(); ++opened) {
+    // The newest applied row: in the hot tail or a freshly sealed
+    // segment, where the scheduler is appending and sealing.
+    OpenOptions opts;
+    opts.start_event = before + manager.stats().ingested_total - 1;
+    opts.window_budget = 1;
+    auto id = manager.Open(script, opts);
+    EXPECT_TRUE(id.ok()) << id.status();
+  }
+  ingest.join();
+  scraper.join();
+  EXPECT_TRUE(WaitFor(
+      [&] { return manager.stats().ingested_total == kBatches * kBatchRows; },
+      kWaitMicros));
+  EXPECT_TRUE(manager.WaitAllTerminal(kWaitMicros));
 }
 
 TEST(ServiceTest, CancelFinalizesStalledAndRunningSessions) {

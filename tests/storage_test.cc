@@ -72,8 +72,8 @@ TEST_F(EventStoreTest, ScanDestHonorsFlowDirection) {
   // A read flows file -> proc, so the *process* is the destination.
   store_.Append(MakeEvent(proc_a_, file_x_, 100, ActionType::kRead, host_));
   store_.Seal();
-  EXPECT_EQ(store_.CountDest(proc_a_, 0, 1000, nullptr), 1u);
-  EXPECT_EQ(store_.CountDest(file_x_, 0, 1000, nullptr), 0u);
+  EXPECT_EQ(store_.ScanDest(proc_a_, 0, 1000, nullptr, nullptr), 1u);
+  EXPECT_EQ(store_.ScanDest(file_x_, 0, 1000, nullptr, nullptr), 0u);
 }
 
 TEST_F(EventStoreTest, ScanChargesSimulatedCost) {
@@ -97,25 +97,6 @@ TEST_F(EventStoreTest, ScanChargesSimulatedCost) {
   EXPECT_EQ(store.stats().queries, 1u);
   EXPECT_EQ(store.stats().rows_matched, 5u);
   EXPECT_EQ(store.stats().simulated_cost, clock.NowMicros());
-}
-
-TEST_F(EventStoreTest, CountDestSkipsRowFetchCost) {
-  EventStoreOptions options;
-  options.cost_model.query_overhead = 100;
-  options.cost_model.per_row_fetch = 1000;
-  options.cost_model.per_partition_probe = 0;
-  options.cost_model.per_partition_seek = 0;
-  EventStore store(options);
-  const HostId h = store.catalog().InternHost("h");
-  const ObjectId p = store.catalog().AddProcess(h, {.exename = "p"});
-  const ObjectId f = store.catalog().AddFile(h, {.path = "/f"});
-  for (int i = 0; i < 7; ++i) {
-    store.Append(MakeEvent(p, f, 100 + i, ActionType::kWrite, h));
-  }
-  store.Seal();
-  SimClock clock;
-  EXPECT_EQ(store.CountDest(f, 0, 1000, &clock), 7u);
-  EXPECT_EQ(clock.NowMicros(), 100);  // overhead only
 }
 
 TEST_F(EventStoreTest, ScanRangeVisitsAllInOrder) {
@@ -154,14 +135,14 @@ TEST_F(EventStoreTest, EmptyStoreSealsSafely) {
   store_.Seal();
   EXPECT_EQ(store_.MinTime(), 0);
   EXPECT_EQ(store_.MaxTime(), 0);
-  EXPECT_EQ(store_.CountDest(proc_a_, 0, 100, nullptr), 0u);
+  EXPECT_EQ(store_.ScanDest(proc_a_, 0, 100, nullptr, nullptr), 0u);
 }
 
 TEST_F(EventStoreTest, EmptyRangeIsEmpty) {
   store_.Append(MakeEvent(proc_a_, file_x_, 100, ActionType::kWrite, host_));
   store_.Seal();
-  EXPECT_EQ(store_.CountDest(file_x_, 100, 100, nullptr), 0u);
-  EXPECT_EQ(store_.CountDest(file_x_, 200, 100, nullptr), 0u);
+  EXPECT_EQ(store_.ScanDest(file_x_, 100, 100, nullptr, nullptr), 0u);
+  EXPECT_EQ(store_.ScanDest(file_x_, 200, 100, nullptr, nullptr), 0u);
 }
 
 // Property test: ScanDest agrees with a brute-force filter over random
@@ -319,9 +300,11 @@ TEST_P(BackendEquivalenceTest, ColumnarMatchesRowStore) {
               pair.row.FlowDestsOf(key, lo, hi))
         << label();
 
+    // Replaying the collected batches charges the probe accounting
+    // checked below.
     SimClock rc, cc;
-    EXPECT_EQ(pair.columnar.CountDest(key, lo, hi, &cc),
-              pair.row.CountDest(key, lo, hi, &rc))
+    EXPECT_EQ(pair.columnar.ReplayScan(cd, &cc, nullptr),
+              pair.row.ReplayScan(rd, &rc, nullptr))
         << label();
   }
 
@@ -501,9 +484,11 @@ TEST_P(ShardEquivalenceTest, ShardedMatchesMonolithic) {
         EXPECT_EQ(sharded.FlowDestsOf(key, lo, hi),
                   mono.FlowDestsOf(key, lo, hi))
             << label();
+        // Replaying the collected batches charges the per-shard stats
+        // reconciled below.
         SimClock mc, sc;
-        EXPECT_EQ(sharded.CountDest(key, lo, hi, &sc),
-                  mono.CountDest(key, lo, hi, &mc))
+        EXPECT_EQ(sharded.ReplayScan(sd, &sc, nullptr),
+                  mono.ReplayScan(md, &mc, nullptr))
             << label();
       }
 

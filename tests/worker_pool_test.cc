@@ -113,37 +113,6 @@ TEST(WorkerPoolTest, SubmitAfterShutdownReturnsFalse) {
   pool.Shutdown(/*run_pending=*/true);
 }
 
-TEST(WorkerPoolTest, TrySubmitRespectsBacklogCap) {
-  WorkerPool pool(1);
-  std::atomic<bool> release{false};
-  std::atomic<int> ran{0};
-  // Park the single worker so everything else stays queued.
-  ASSERT_TRUE(pool.Submit([&release, &ran] {
-    while (!release.load()) std::this_thread::yield();
-    ran.fetch_add(1);
-  }));
-  while (pool.pending() > 0) std::this_thread::yield();  // worker popped it
-
-  ASSERT_TRUE(pool.TrySubmit([&ran] { ran.fetch_add(1); }, 2));
-  ASSERT_TRUE(pool.TrySubmit([&ran] { ran.fetch_add(1); }, 2));
-  // Backlog is at the cap: the valve closes without queueing or crashing.
-  EXPECT_FALSE(pool.TrySubmit([&ran] { ran.fetch_add(1); }, 2));
-  EXPECT_EQ(pool.pending(), 2u);
-  // Plain Submit ignores the cap — it is the scheduler's opt-in valve.
-  ASSERT_TRUE(pool.Submit([&ran] { ran.fetch_add(1); }));
-
-  release.store(true);
-  pool.WaitIdle();
-  EXPECT_EQ(ran.load(), 4);
-}
-
-TEST(WorkerPoolTest, TrySubmitAfterShutdownReturnsFalse) {
-  WorkerPool pool(2);
-  pool.Shutdown(/*run_pending=*/false);
-  EXPECT_FALSE(pool.TrySubmit([] {}, 100));
-  EXPECT_EQ(pool.pending(), 0u);
-}
-
 TEST(WorkerPoolTest, ConcurrentSubmittersAreSerializedSafely) {
   WorkerPool pool(4);
   std::atomic<int> ran{0};

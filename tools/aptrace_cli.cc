@@ -15,9 +15,10 @@
 //       and write the requested outputs.
 //         --baseline          use the execute-to-complete engine
 //         --k=N               execution-window count (default 8)
-//         --threads=N         scan worker threads (default: hardware
-//                             concurrency; 1 = sequential path; results
-//                             are identical for any N)
+//         --threads=N         scan worker threads (default 1, the
+//                             sequential path; N > 1 prefetches window
+//                             scans, which pays only over a remote shard
+//                             fleet; results are identical for any N)
 //         --backend=row|columnar
 //                             storage backend (default: APTRACE_BACKEND
 //                             env var, else row); graph output is
@@ -104,7 +105,7 @@ struct Flags {
   std::string sim_limit;
   size_t max_updates = 0;
   int k = 8;
-  int threads = 0;  // scan workers; 0 = hardware concurrency
+  int threads = 1;  // scan workers; 1 = sequential path
   int train_days = -1;
   StorageBackendKind backend = DefaultStorageBackendKind();
   size_t shards = DefaultShardCount();

@@ -6,8 +6,8 @@
 //       line-delimited JSON protocol of docs/service.md.
 //
 //   Ops:
-//     open --script=<file.bdl> [--weight=N] [--threads=N]
-//          [--window-budget=N] [--sim-budget-us=N] [--start-event=N]
+//     open --script=<file.bdl> [--weight=N] [--window-budget=N]
+//          [--sim-budget-us=N] [--start-event=N]
 //         Open a session; prints its id.
 //     run --script=<file.bdl> [open flags] [--json=<file>] [--quiet]
 //         [--profile]
@@ -88,7 +88,6 @@ struct Flags {
   uint64_t cursor = 0;
   uint64_t max = 0;
   uint64_t weight = 1;
-  int threads = 0;
   long window_budget = -1;
   long sim_budget_us = -1;
   long start_event = -1;
@@ -175,12 +174,6 @@ Flags ParseFlags(int argc, char** argv) {
       if (!ParseU64("--max", v, &f.max)) f.ok = false;
     } else if (TakeValue(a, "--weight", &v)) {
       if (!ParseU64("--weight", v, &f.weight)) f.ok = false;
-    } else if (TakeValue(a, "--threads", &v)) {
-      if (ParseU64("--threads", v, &n)) {
-        f.threads = static_cast<int>(n);
-      } else {
-        f.ok = false;
-      }
     } else if (TakeValue(a, "--window-budget", &v)) {
       if (ParseU64("--window-budget", v, &n)) {
         f.window_budget = static_cast<long>(n);
@@ -338,9 +331,6 @@ class Connection {
 /// Applies the shared open/resume flags to a request dict.
 void AddOpenOptions(const Flags& flags, obs::JsonDict* d) {
   d->Add("weight", flags.weight);
-  if (flags.threads > 0) {
-    d->Add("scan_threads", static_cast<int64_t>(flags.threads));
-  }
   if (flags.window_budget >= 0) {
     d->Add("window_budget", static_cast<uint64_t>(flags.window_budget));
   }

@@ -36,10 +36,6 @@
 //                             backpressure stalls it (default 256)
 //         --ingest-cap=N      pending live-ingest events before `ingest`
 //                             is rejected (default 4096)
-//         --threads=N         shared scan-pool width (default: hardware
-//                             concurrency)
-//         --session-threads=N default modeled scan threads per session
-//                             (results identical at any value; default 1)
 //         --slow-query-micros=N
 //                             cumulative per-session wall-micros threshold
 //                             for the slow-query log + flight dump
@@ -97,7 +93,6 @@
 #include "storage/wal.h"
 #include "util/env.h"
 #include "util/string_util.h"
-#include "util/worker_pool.h"
 
 namespace aptrace {
 namespace {
@@ -252,21 +247,6 @@ Flags ParseFlags(int argc, char** argv) {
     } else if (TakeValue(a, "--ingest-cap", &v)) {
       if (ParseCount("--ingest-cap", v, 1, &n)) {
         f.limits.ingest_queue_cap = static_cast<size_t>(n);
-      } else {
-        f.ok = false;
-      }
-    } else if (TakeValue(a, "--threads", &v)) {
-      if (ParseCount("--threads", v, 1, &n)) {
-        f.limits.scan_threads = static_cast<int>(
-            n > static_cast<long>(WorkerPool::kMaxThreads)
-                ? WorkerPool::kMaxThreads
-                : n);
-      } else {
-        f.ok = false;
-      }
-    } else if (TakeValue(a, "--session-threads", &v)) {
-      if (ParseCount("--session-threads", v, 1, &n)) {
-        f.limits.session_scan_threads = static_cast<int>(n);
       } else {
         f.ok = false;
       }
