@@ -132,7 +132,12 @@ Status Executor::RestoreCheckpoint(std::istream& is) {
       ObjectId id = 0;
       int hop = 0, state = 0;
       f >> id >> hop >> state;
-      if (!f) return ParseError("bad node record");
+      // A hop counts distinct edges from the start, so it can never
+      // exceed the store's event count; the graph indexes nodes by hop.
+      if (!f || hop < 0 ||
+          static_cast<uint64_t>(hop) > ctx_.store->NumEvents()) {
+        return ParseError("bad node record");
+      }
       nodes.emplace_back(id, hop, state);
     } else if (kind == "G") {
       EventId id = 0;

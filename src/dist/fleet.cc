@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
+#include <sys/prctl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -121,6 +122,7 @@ Result<std::unique_ptr<ShardFleet>> ShardFleet::Launch(FleetOptions options) {
     }
     for (const std::string& a : opt.extra_args) argv_store.push_back(a);
 
+    const pid_t parent = getpid();
     const pid_t pid = fork();
     if (pid < 0) {
       close(pipe_fds[0]);
@@ -128,7 +130,12 @@ Result<std::unique_ptr<ShardFleet>> ShardFleet::Launch(FleetOptions options) {
       return Status::Internal("fork: " + ErrnoMessage(errno));
     }
     if (pid == 0) {
-      // Child: ready line goes to the pipe; logs stay on stderr.
+      // Child: die with the launching thread, so a launcher killed
+      // before its destructor runs leaves no orphaned daemon. A parent
+      // that died before prctl took effect is caught by the ppid check.
+      prctl(PR_SET_PDEATHSIG, SIGKILL);
+      if (getppid() != parent) _exit(1);
+      // Ready line goes to the pipe; logs stay on stderr.
       dup2(pipe_fds[1], STDOUT_FILENO);
       close(pipe_fds[0]);
       close(pipe_fds[1]);

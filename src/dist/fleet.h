@@ -45,8 +45,12 @@ struct FleetOptions {
 /// ("shardd: ready shard=<n> tcp=127.0.0.1:<port>"), and tears the whole
 /// fleet down on destruction (SIGTERM, short grace, then SIGKILL) — the
 /// teardown runs even when a test or launcher dies mid-way, because it
-/// lives in the destructor. Shared by tools/aptrace_fleet, the fabric
-/// tests, and bench_dist_fanout (docs/distribution.md).
+/// lives in the destructor. A launcher killed before its destructor runs
+/// (SIGKILL, a crashed test) takes its daemons with it: each child asks
+/// for SIGKILL when its parent dies. That signal follows the *thread*
+/// that forked, not the process, so the thread that calls Launch() must
+/// outlive the fleet. Shared by tools/aptrace_fleet, the fabric tests,
+/// and bench_dist_fanout (docs/distribution.md).
 class ShardFleet {
  public:
   /// Spawns the fleet; on any failure, already-started daemons are torn

@@ -1,13 +1,14 @@
 #include "graph/dep_graph.h"
 
 #include <algorithm>
+#include <cassert>
 
 namespace aptrace {
 
 void DepGraph::SetStart(ObjectId start) {
   start_ = start;
   Node& n = EnsureNode(start);
-  n.hop = 0;
+  AssignHop(n, 0);
   n.state = 1;
 }
 
@@ -17,8 +18,30 @@ DepGraph::Node& DepGraph::EnsureNode(ObjectId id) {
     it->second.object = id;
     it->second.hop = 0;
     it->second.state = 0;
+    CountHop(0);
   }
   return it->second;
+}
+
+void DepGraph::AssignHop(Node& n, int hop) {
+  if (n.hop == hop) return;
+  UncountHop(n.hop);
+  CountHop(hop);
+  n.hop = hop;
+}
+
+void DepGraph::CountHop(int hop) {
+  assert(hop >= 0);
+  const auto h = static_cast<size_t>(hop);
+  if (hop_counts_.size() <= h) hop_counts_.resize(h + 1, 0);
+  hop_counts_[h]++;
+}
+
+void DepGraph::UncountHop(int hop) {
+  hop_counts_[static_cast<size_t>(hop)]--;
+  while (!hop_counts_.empty() && hop_counts_.back() == 0) {
+    hop_counts_.pop_back();
+  }
 }
 
 DepGraph::AddResult DepGraph::AddEventEdge(const Event& event) {
@@ -47,12 +70,12 @@ DepGraph::AddResult DepGraph::AddEventEdge(const Event& event) {
   // Hop assignment: in backtracking we discover `src` from `dst`, so a new
   // source node is one hop farther from the start than its destination.
   if (src_new && !dst_new) {
-    sn.hop = dn.hop + 1;
+    AssignHop(sn, dn.hop + 1);
   } else if (dst_new && !src_new) {
-    dn.hop = sn.hop + 1;
+    AssignHop(dn, sn.hop + 1);
   } else if (!src_new && !dst_new) {
     // A shortcut edge may shorten the source's distance.
-    sn.hop = std::min(sn.hop, dn.hop + 1);
+    AssignHop(sn, std::min(sn.hop, dn.hop + 1));
   }
   // Both new (disconnected seed): hops stay 0; the engine only seeds the
   // start node, so this occurs for the first edge touching the start.
@@ -78,22 +101,13 @@ void DepGraph::SetState(ObjectId id, int state) {
 
 void DepGraph::SetHop(ObjectId id, int hop) {
   auto it = nodes_.find(id);
-  if (it != nodes_.end()) it->second.hop = hop;
+  if (it != nodes_.end()) AssignHop(it->second, hop);
 }
 
 void DepGraph::ClearStates() {
   for (auto& [id, node] : nodes_) {
     node.state = (id == start_) ? 1 : 0;
   }
-}
-
-int DepGraph::MaxHop() const {
-  int m = 0;
-  for (const auto& [id, node] : nodes_) {
-    (void)id;
-    m = std::max(m, node.hop);
-  }
-  return m;
 }
 
 size_t DepGraph::RemoveNodesIf(const std::function<bool(ObjectId)>& pred) {
@@ -127,6 +141,7 @@ size_t DepGraph::RemoveNodesIf(const std::function<bool(ObjectId)>& pred) {
         strip(nit->second.out_edges);
       }
     }
+    UncountHop(victim.hop);
     nodes_.erase(id);
   }
   return doomed.size();

@@ -76,14 +76,19 @@ class DepGraph {
   void SetState(ObjectId id, int state);
   /// Overrides a node's hop (checkpoint restore only: hops are
   /// insertion-order dependent, so they are persisted, not recomputed).
+  /// Precondition: hop >= 0.
   void SetHop(ObjectId id, int hop);
   /// Resets every node's state to 0 (start back to 1). Used when the
   /// Refiner re-propagates states after the chain changed.
   void ClearStates();
 
   /// Largest hop value over all nodes — the graph "diameter" from the
-  /// start, which `where hop <= N` bounds.
-  int MaxHop() const;
+  /// start, which `where hop <= N` bounds. O(1): read off the per-hop
+  /// node counts every hop change keeps current (0 on an empty graph).
+  int MaxHop() const {
+    return hop_counts_.empty() ? 0
+                               : static_cast<int>(hop_counts_.size()) - 1;
+  }
 
   /// Removes every node for which `pred` returns true, along with all
   /// incident edges. Returns the number of nodes removed. The start node
@@ -104,10 +109,17 @@ class DepGraph {
 
  private:
   Node& EnsureNode(ObjectId id);
+  /// Every hop change goes through these so hop_counts_ stays exact.
+  void AssignHop(Node& n, int hop);
+  void CountHop(int hop);
+  void UncountHop(int hop);
 
   ObjectId start_ = kInvalidObjectId;
   std::unordered_map<ObjectId, Node> nodes_;
   std::unordered_map<EventId, Edge> edges_;
+  /// hop_counts_[h] = number of nodes at hop h, trimmed so the last slot
+  /// is non-zero: its index is MaxHop().
+  std::vector<size_t> hop_counts_;
 };
 
 }  // namespace aptrace

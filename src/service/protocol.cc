@@ -1,5 +1,6 @@
 #include "service/protocol.h"
 
+#include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -77,6 +78,25 @@ obs::JsonDict SnapshotDict(const SessionSnapshot& snap) {
   d.Add("queue_size", static_cast<uint64_t>(snap.queue_size));
   d.Add("direction", bdl::TrackDirectionName(snap.direction));
   return d;
+}
+
+/// One `poll` batch as {"seq":..,"sim_time":..,"new_edges":..,
+/// "new_nodes":..,"total_edges":..,"total_nodes":..}: the bytes
+/// obs::JsonDict would produce, without a string per member.
+void AppendBatchJson(std::string& out, const ServiceBatch& b) {
+  out += "{\"seq\":";
+  AppendDecimal(out, b.seq);
+  out += ",\"sim_time\":";
+  AppendDecimal(out, b.batch.sim_time);
+  out += ",\"new_edges\":";
+  AppendDecimal(out, b.batch.new_edges);
+  out += ",\"new_nodes\":";
+  AppendDecimal(out, b.batch.new_nodes);
+  out += ",\"total_edges\":";
+  AppendDecimal(out, b.batch.total_edges);
+  out += ",\"total_nodes\":";
+  AppendDecimal(out, b.batch.total_nodes);
+  out += '}';
 }
 
 OpenOptions ParseOpenOptions(const JsonValue& req) {
@@ -194,23 +214,19 @@ std::string ProtocolHandler::HandleLine(const std::string& line,
     d.Add("detail", p.detail);
     d.Add("terminal", p.terminal);
     d.Add("next_cursor", p.next_cursor);
-    std::string batches = "[";
+    // The batch array grows with the engine's pace, so it is appended
+    // straight onto the reply: {"ok":true,...,"batches":[...],"snapshot":{}}.
+    std::string out = OkResponse(std::move(d));
+    out.pop_back();  // '}'
+    out += ",\"batches\":[";
     for (size_t i = 0; i < p.batches.size(); ++i) {
-      const ServiceBatch& b = p.batches[i];
-      obs::JsonDict bd;
-      bd.Add("seq", b.seq);
-      bd.Add("sim_time", static_cast<int64_t>(b.batch.sim_time));
-      bd.Add("new_edges", static_cast<uint64_t>(b.batch.new_edges));
-      bd.Add("new_nodes", static_cast<uint64_t>(b.batch.new_nodes));
-      bd.Add("total_edges", static_cast<uint64_t>(b.batch.total_edges));
-      bd.Add("total_nodes", static_cast<uint64_t>(b.batch.total_nodes));
-      if (i != 0) batches += ",";
-      batches += bd.Str();
+      if (i != 0) out += ',';
+      AppendBatchJson(out, p.batches[i]);
     }
-    batches += "]";
-    d.AddRaw("batches", batches);
-    d.AddRaw("snapshot", SnapshotDict(p.snapshot).Str());
-    return OkResponse(std::move(d));
+    out += "],\"snapshot\":";
+    out += SnapshotDict(p.snapshot).Str();
+    out += '}';
+    return out;
   }
 
   if (op == "cancel") {

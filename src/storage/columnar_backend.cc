@@ -1,8 +1,10 @@
 #include "storage/columnar_backend.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <limits>
+#include <numeric>
 
 #include "obs/metrics.h"
 #include "obs/names.h"
@@ -39,6 +41,49 @@ const LifecycleMetrics& Lm() {
 bool EventTsIdLess(const Event& a, const Event& b) {
   if (a.timestamp != b.timestamp) return a.timestamp < b.timestamp;
   return a.id < b.id;
+}
+
+/// The permutation that sorts `keys` ascending, equal keys kept in input
+/// order: an LSD radix sort, one counting pass per byte. Bytes on which
+/// every key agrees cannot reorder anything and are skipped, so keys
+/// that span a narrow range (a segment's object ids, timestamps offset
+/// by their minimum) take few passes. Linear in keys.size().
+std::vector<uint32_t> StableRadixOrder(const std::vector<uint64_t>& keys) {
+  std::vector<uint32_t> order(keys.size());
+  std::iota(order.begin(), order.end(), 0u);
+  if (keys.empty()) return order;
+  uint64_t varying = 0;
+  for (const uint64_t k : keys) varying |= k ^ keys.front();
+  std::vector<uint32_t> next(keys.size());
+  for (int shift = 0; shift < 64; shift += 8) {
+    if (((varying >> shift) & 0xff) == 0) continue;
+    std::array<uint32_t, 257> start{};
+    for (const uint64_t k : keys) start[((k >> shift) & 0xff) + 1]++;
+    for (size_t b = 1; b < start.size(); ++b) start[b] += start[b - 1];
+    for (const uint32_t i : order) {
+      next[start[(keys[i] >> shift) & 0xff]++] = i;
+    }
+    order.swap(next);
+  }
+  return order;
+}
+
+/// Reorders `rows` so that rows[j] becomes the old rows[order[j]],
+/// following the permutation's cycles in place; clobbers `order`.
+void Permute(std::vector<Event>& rows, std::vector<uint32_t>& order) {
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (order[i] == i) continue;
+    const Event held = rows[i];
+    size_t j = i;
+    for (;;) {
+      const size_t k = order[j];
+      order[j] = static_cast<uint32_t>(j);
+      if (k == i) break;
+      rows[j] = rows[k];
+      j = k;
+    }
+    rows[j] = held;
+  }
 }
 
 /// (timestamp, id) pairs are the scan-order currency: segment output is
@@ -116,10 +161,21 @@ EventId ColumnarSegmentBackend::Append(Event event) {
 void ColumnarSegmentBackend::Seal() {
   if (sealed()) return;
   APTRACE_SPAN("store/seal");
-  // Build-phase ids are dense append indexes, so sorting the rows by
-  // (timestamp, id) is the same global order the seed computed through an
-  // index array.
-  std::sort(staging_.begin(), staging_.end(), EventTsIdLess);
+  // Staged ids are dense append indexes, so a stable order by timestamp
+  // alone is the global (timestamp, id) order.
+  if (!staging_.empty()) {
+    TimeMicros t0 = staging_.front().timestamp;
+    for (const Event& e : staging_) t0 = std::min(t0, e.timestamp);
+    std::vector<uint64_t> offsets;
+    offsets.reserve(staging_.size());
+    for (const Event& e : staging_) {
+      offsets.push_back(static_cast<uint64_t>(e.timestamp) -
+                        static_cast<uint64_t>(t0));
+    }
+    std::vector<uint32_t> order = StableRadixOrder(offsets);
+    offsets = {};
+    Permute(staging_, order);
+  }
   sealed_rows_ = staging_.size();
   row_refs_.resize(sealed_rows_);
   RecutInto(std::move(staging_), 0, nullptr);
@@ -172,6 +228,11 @@ void ColumnarSegmentBackend::BuildSegment(const std::vector<Event>& rows,
     FingerprintAdd(z.dest_bits, dest);
   }
   s.zone = z;
+  std::vector<ObjectId> keys(n);
+  for (size_t i = 0; i < n; ++i) keys[i] = FlowKeyAt(s, i, /*by_src=*/true);
+  s.src_postings = BuildPostingList(keys);
+  for (size_t i = 0; i < n; ++i) keys[i] = FlowKeyAt(s, i, /*by_src=*/false);
+  s.dest_postings = BuildPostingList(keys);
   *out = std::move(s);
 }
 
@@ -372,6 +433,43 @@ std::pair<size_t, size_t> ColumnarSegmentBackend::TailBounds(
           static_cast<size_t>(hi - tail_sorted_.begin())};
 }
 
+ColumnarSegmentBackend::PostingList ColumnarSegmentBackend::BuildPostingList(
+    const std::vector<ObjectId>& keys) {
+  PostingList p;
+  p.rows = StableRadixOrder(keys);
+  const auto opens_key = [&](size_t i) {
+    return i == 0 || keys[p.rows[i]] != keys[p.rows[i - 1]];
+  };
+  size_t distinct = 0;
+  for (size_t i = 0; i < p.rows.size(); ++i) distinct += opens_key(i);
+  p.keys.reserve(distinct);
+  p.starts.reserve(distinct + 1);
+  for (size_t i = 0; i < p.rows.size(); ++i) {
+    if (!opens_key(i)) continue;
+    p.keys.push_back(keys[p.rows[i]]);
+    p.starts.push_back(static_cast<uint32_t>(i));
+  }
+  p.starts.push_back(static_cast<uint32_t>(p.rows.size()));
+  return p;
+}
+
+std::span<const uint32_t> ColumnarSegmentBackend::KeyRows(
+    const Segment& s, bool by_src, ObjectId key, TimeMicros begin,
+    TimeMicros end) {
+  const PostingList& p = by_src ? s.src_postings : s.dest_postings;
+  const auto k = std::lower_bound(p.keys.begin(), p.keys.end(), key);
+  if (k == p.keys.end() || *k != key) return {};
+  const size_t slot = static_cast<size_t>(k - p.keys.begin());
+  const uint32_t* first = p.rows.data() + p.starts[slot];
+  const uint32_t* last = p.rows.data() + p.starts[slot + 1];
+  const auto ts_before = [&s](uint32_t row, TimeMicros t) {
+    return s.ts[row] < t;
+  };
+  first = std::lower_bound(first, last, begin, ts_before);
+  last = std::lower_bound(first, last, end, ts_before);
+  return {first, last};
+}
+
 RangeScanBatch ColumnarSegmentBackend::CollectImpl(bool by_src, ObjectId key,
                                                    TimeMicros begin,
                                                    TimeMicros end) const {
@@ -387,17 +485,9 @@ RangeScanBatch ColumnarSegmentBackend::CollectImpl(bool by_src, ObjectId key,
       continue;
     }
     batch.partitions_probed++;
-    const auto r0 =
-        std::lower_bound(s.ts.begin(), s.ts.end(), begin) - s.ts.begin();
-    const auto r1 = std::lower_bound(s.ts.begin() + r0, s.ts.end(), end) -
-                    s.ts.begin();
-    bool hit = false;
-    for (auto r = static_cast<size_t>(r0); r < static_cast<size_t>(r1); ++r) {
-      if (FlowKeyAt(s, r, by_src) != key) continue;
-      batch.rows.push_back(s.ids[r]);
-      hit = true;
-    }
-    if (hit) batch.partitions_seeked++;
+    const std::span<const uint32_t> hits = KeyRows(s, by_src, key, begin, end);
+    for (const uint32_t r : hits) batch.rows.push_back(s.ids[r]);
+    if (!hits.empty()) batch.partitions_seeked++;
   }
 
   if (!tail_.empty()) {
@@ -502,12 +592,8 @@ bool ColumnarSegmentBackend::HasIncomingWrite(ObjectId object,
        i < segments_.size() && segments_[i].zone.ts_min < end; ++i) {
     const Segment& s = segments_[i];
     if (!ZoneMayMatch(s.zone, object, /*by_src=*/false)) continue;
-    const auto r0 =
-        std::lower_bound(s.ts.begin(), s.ts.end(), begin) - s.ts.begin();
-    const auto r1 = std::lower_bound(s.ts.begin() + r0, s.ts.end(), end) -
-                    s.ts.begin();
-    for (auto r = static_cast<size_t>(r0); r < static_cast<size_t>(r1); ++r) {
-      if (FlowKeyAt(s, r, /*by_src=*/false) == object) return true;
+    if (!KeyRows(s, /*by_src=*/false, object, begin, end).empty()) {
+      return true;
     }
   }
   if (!tail_.empty()) {
@@ -528,12 +614,7 @@ std::vector<ObjectId> ColumnarSegmentBackend::FlowDestsOf(
        i < segments_.size() && segments_[i].zone.ts_min < end; ++i) {
     const Segment& s = segments_[i];
     if (!ZoneMayMatch(s.zone, src, /*by_src=*/true)) continue;
-    const auto r0 =
-        std::lower_bound(s.ts.begin(), s.ts.end(), begin) - s.ts.begin();
-    const auto r1 = std::lower_bound(s.ts.begin() + r0, s.ts.end(), end) -
-                    s.ts.begin();
-    for (auto r = static_cast<size_t>(r0); r < static_cast<size_t>(r1); ++r) {
-      if (FlowKeyAt(s, r, /*by_src=*/true) != src) continue;
+    for (const uint32_t r : KeyRows(s, /*by_src=*/true, src, begin, end)) {
       out.push_back(FlowKeyAt(s, r, /*by_src=*/false));
     }
   }

@@ -3,6 +3,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "storage/storage_backend.h"
@@ -26,9 +27,18 @@ namespace aptrace {
 /// CollectSrc/CollectDest consults the zone map first and skips the
 /// segment entirely — counted in RangeScanBatch::segments_pruned, *not*
 /// probed — when the key or time range cannot match. Only surviving
-/// segments are probed (binary search on the timestamp column + column
-/// scan), so the cost model charges strictly less than the row store's
-/// probe-every-partition walk whenever pruning fires.
+/// segments are probed, so the cost model charges strictly less than the
+/// row store's probe-every-partition walk whenever pruning fires.
+///
+/// A probe reads the segment's *posting list* for the key's column (flow
+/// source or flow destination): the segment's distinct keys ascending,
+/// CSR starts, and each key's row offsets ascending. It binary-searches
+/// the key, seeks the key's first row at or after `begin`, and walks
+/// until `end`, so it touches only matching rows. Both lists are built
+/// when a segment is cut (Seal, SealTail, Compact), never at probe time,
+/// by a stable radix order that skips key bytes constant across the
+/// segment: linear in the segment's rows. They cost 4 bytes per row per
+/// column plus 12 bytes per distinct key per column.
 ///
 /// Post-seal streaming appends go to a row-oriented *tail* (the classic
 /// delta store): an append-ordered vector plus a (timestamp, id)-sorted
@@ -99,6 +109,15 @@ class ColumnarSegmentBackend final : public StorageBackend {
     Fingerprint dest_bits{};  // bit (flow-dest id % 1024)
   };
 
+  /// Row offsets of a segment grouped by one flow-key column: keys[k]'s
+  /// rows are rows[starts[k], starts[k + 1]), ascending, hence also in
+  /// (timestamp, id) order.
+  struct PostingList {
+    std::vector<ObjectId> keys;    // distinct, ascending
+    std::vector<uint32_t> starts;  // keys.size() + 1 entries
+    std::vector<uint32_t> rows;
+  };
+
   /// One column segment: `rows()` events, field-per-array.
   struct Segment {
     std::vector<EventId> ids;
@@ -110,6 +129,8 @@ class ColumnarSegmentBackend final : public StorageBackend {
     std::vector<uint8_t> direction;
     std::vector<HostId> host;
     ZoneMap zone;
+    PostingList src_postings;   // by flow source
+    PostingList dest_postings;  // by flow destination
 
     size_t rows() const { return ids.size(); }
   };
@@ -130,6 +151,16 @@ class ColumnarSegmentBackend final : public StorageBackend {
   /// contain rows whose flow source (by_src) / destination matches `key`.
   bool ZoneMayMatch(const ZoneMap& z, ObjectId key, bool by_src) const;
 
+  /// Groups row offsets by `keys[row]` (one flow-key column).
+  static PostingList BuildPostingList(const std::vector<ObjectId>& keys);
+
+  /// Offsets of the rows of `s` whose flow source (by_src) / destination
+  /// is `key` and whose timestamp lies in [begin, end), ascending: the
+  /// posting-list walk behind every keyed scan.
+  static std::span<const uint32_t> KeyRows(const Segment& s, bool by_src,
+                                           ObjectId key, TimeMicros begin,
+                                           TimeMicros end);
+
   /// Index of the first *live* segment whose ts_max >= begin (segments
   /// are in global time order, so both ts_min and ts_max are
   /// non-decreasing). Never returns an archived segment: the search
@@ -138,10 +169,10 @@ class ColumnarSegmentBackend final : public StorageBackend {
   size_t FirstSegmentFor(TimeMicros begin) const;
 
   /// Columnarizes rows[base, base+n) — already (timestamp, id)-sorted —
-  /// into *out and points row_refs_ at the new locations. Writes only
-  /// *out and distinct row_refs_ elements, so calls over disjoint ranges
-  /// are safe to run concurrently (SealTail/Compact fan builds out to a
-  /// WorkerPool).
+  /// into *out, builds its posting lists, and points row_refs_ at the new
+  /// locations. Writes only *out and distinct row_refs_ elements, so calls
+  /// over disjoint ranges are safe to run concurrently (SealTail/Compact
+  /// fan builds out to a WorkerPool).
   void BuildSegment(const std::vector<Event>& rows, size_t base, size_t n,
                     uint32_t seg_index, Segment* out);
 

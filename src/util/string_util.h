@@ -1,6 +1,7 @@
 #ifndef APTRACE_UTIL_STRING_UTIL_H_
 #define APTRACE_UTIL_STRING_UTIL_H_
 
+#include <charconv>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -46,6 +47,15 @@ std::string FormatDuration(DurationMicros d);
 /// Escapes `s` for embedding inside a JSON string literal (quotes not
 /// added). Shared by the graph JSON writer and the observability exports.
 std::string JsonEscape(std::string_view s);
+
+/// Appends integer `v` in decimal, the digits `operator<<` prints, with
+/// no stream or temporary string. Used by the writers of documents that
+/// grow with an investigation (graph JSON, `poll` replies).
+template <typename Int>
+void AppendDecimal(std::string& out, Int v) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
 
 }  // namespace aptrace
 

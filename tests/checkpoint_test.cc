@@ -259,5 +259,44 @@ TEST(CheckpointTest, GarbageFilesRejected) {
   std::remove(path.c_str());
 }
 
+// The graph indexes nodes by hop, so a node record's hop is checked
+// before it is applied: negative, or beyond the store's event count (a
+// hop counts distinct edges from the start), is a bad record.
+TEST(CheckpointTest, OutOfRangeHopRejected) {
+  const std::string path = TempPath("hop.ckpt");
+  MiniTrace t = MakeMiniTrace();
+  SimClock c1;
+  Session first(t.store.get(), &c1);
+  ASSERT_TRUE(first
+                  .Start("backward ip x[] -> *",
+                         t.store->Get(t.alert_event))
+                  .ok());
+  ASSERT_TRUE(first.Step({}).ok());
+  ASSERT_TRUE(first.SaveCheckpoint(path).ok());
+  std::string saved;
+  {
+    std::ifstream f(path);
+    saved.assign(std::istreambuf_iterator<char>(f), {});
+  }
+  // "N\t<id>\t<hop>\t<state>": rewrite the first node record's hop.
+  const size_t rec = saved.find("\nN\t");
+  ASSERT_NE(rec, std::string::npos);
+  const size_t hop_at = saved.find('\t', rec + 3) + 1;
+  const size_t hop_end = saved.find('\t', hop_at);
+  for (const std::string& hop :
+       {std::string("-1"), std::to_string(t.store->NumEvents() + 1)}) {
+    {
+      std::ofstream f(path, std::ios::trunc);
+      f << saved.substr(0, hop_at) << hop << saved.substr(hop_end);
+    }
+    SimClock c2;
+    Session resumed(t.store.get(), &c2);
+    const Status st = resumed.LoadCheckpoint(path);
+    EXPECT_FALSE(st.ok()) << "hop " << hop;
+    EXPECT_NE(st.message().find("bad node record"), std::string::npos) << st;
+  }
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace aptrace

@@ -7,10 +7,16 @@
 // contract: SIGKILLing one daemon mid-query fails the session with a
 // typed DST-E00x detail, never a hang.
 
+#include <fcntl.h>
 #include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
+#include <cstdint>
+#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -191,6 +197,64 @@ TEST_P(DistFabric, ColdStoreRejectsIdentityMismatchedFleet) {
     FAIL() << "expected DistError";
   } catch (const DistError& e) {
     EXPECT_EQ(e.code(), std::string(kDistErrIdentity)) << e.what();
+  }
+}
+
+/// True once `pid` no longer runs: it is gone (ESRCH) or is a zombie
+/// waiting for its new parent to reap it.
+bool ProcessGone(pid_t pid) {
+  if (kill(pid, 0) != 0) return errno == ESRCH;
+  std::ifstream stat("/proc/" + std::to_string(pid) + "/stat");
+  std::string line;
+  if (!std::getline(stat, line)) return true;
+  // "pid (comm) S ...": the state follows the last ')'.
+  const size_t paren = line.rfind(')');
+  return paren != std::string::npos && paren + 2 < line.size() &&
+         line[paren + 2] == 'Z';
+}
+
+// A launcher SIGKILLed before ShardFleet's destructor can run must take
+// its daemons with it: each child asked for SIGKILL on its parent's
+// death, so no orphan keeps serving (or holds a test runner's pipes).
+TEST(DistFleetLifetime, ShardsDieWithAKilledLauncher) {
+  int fds[2];
+  ASSERT_EQ(pipe2(fds, O_CLOEXEC), 0);
+  const pid_t helper = fork();
+  ASSERT_GE(helper, 0);
+  if (helper == 0) {
+    close(fds[0]);
+    FleetOptions options;
+    options.shardd_bin = APTRACE_SHARDD_BIN;
+    options.shards = 2;
+    auto fleet = ShardFleet::Launch(options);
+    if (!fleet.ok()) _exit(1);
+    for (const ShardProcess& p : fleet.value()->shards()) {
+      const int32_t pid = p.pid;
+      if (write(fds[1], &pid, sizeof(pid)) != sizeof(pid)) _exit(1);
+    }
+    for (;;) pause();
+  }
+  close(fds[1]);
+  std::vector<pid_t> shard_pids;
+  int32_t pid = 0;
+  while (shard_pids.size() < 2 &&
+         read(fds[0], &pid, sizeof(pid)) == sizeof(pid)) {
+    shard_pids.push_back(pid);
+  }
+  close(fds[0]);
+
+  ASSERT_EQ(kill(helper, SIGKILL), 0);
+  ASSERT_EQ(waitpid(helper, nullptr, 0), helper);
+  ASSERT_EQ(shard_pids.size(), 2u) << "the helper failed to launch a fleet";
+
+  const int64_t deadline = MonotonicNowMicros() + 2'000'000;
+  for (const pid_t shard : shard_pids) {
+    while (!ProcessGone(shard) && MonotonicNowMicros() < deadline) {
+      usleep(10'000);
+    }
+    EXPECT_TRUE(ProcessGone(shard))
+        << "shard daemon " << shard << " outlived its launcher";
+    if (!ProcessGone(shard)) kill(shard, SIGKILL);  // leave nothing behind
   }
 }
 

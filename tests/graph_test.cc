@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <vector>
 
 #include "graph/dep_graph.h"
 #include "graph/dot_writer.h"
+#include "util/rng.h"
 
 namespace aptrace {
 namespace {
@@ -116,6 +119,69 @@ TEST_F(DepGraphTest, StartNodeIsNeverRemoved) {
   EXPECT_EQ(removed, 1u);  // only java
   EXPECT_TRUE(graph_.HasNode(kIp));
 }
+
+/// MaxHop the slow way: a walk over every node.
+int BruteMaxHop(const DepGraph& g) {
+  int m = 0;
+  g.ForEachNode([&](const DepGraph::Node& n) { m = std::max(m, n.hop); });
+  return m;
+}
+
+// MaxHop reads a per-hop node-count index that every hop change keeps
+// current. Random mixes of every mutation that moves a hop must leave it
+// equal to the brute-force maximum after each single operation.
+class MaxHopPropertyTest : public testing::TestWithParam<uint64_t> {};
+
+TEST_P(MaxHopPropertyTest, MatchesBruteForceAfterEveryOperation) {
+  Rng rng(GetParam());
+  DepGraph g;
+  g.SetStart(1);
+  ObjectId next_id = 2;
+  EventId next_event = 0;
+  const auto known = [&] {
+    const std::vector<ObjectId> ids = g.NodeIds();
+    return ids[rng.Uniform(ids.size())];
+  };
+  // Counts the AddEventEdge branches the run took, to prove coverage.
+  int new_src = 0, new_dst = 0, both_known = 0, both_new = 0;
+  for (int op = 0; op < 2000; ++op) {
+    const uint64_t kind = rng.Uniform(100);
+    std::string what;
+    if (kind < 70) {
+      // kWrite flows subject -> object: subject is the source.
+      const uint64_t shape = rng.Uniform(4);
+      const ObjectId src = (shape == 0 || shape == 3) ? next_id++ : known();
+      const ObjectId dst = (shape == 1 || shape == 3) ? next_id++ : known();
+      const bool src_was = g.HasNode(src), dst_was = g.HasNode(dst);
+      g.AddEventEdge(Ev(next_event++, src, dst, op, ActionType::kWrite));
+      new_src += !src_was && dst_was;
+      new_dst += src_was && !dst_was;
+      both_known += src_was && dst_was;
+      both_new += !src_was && !dst_was;
+      what = "AddEventEdge";
+    } else if (kind < 82) {
+      g.SetHop(known(), static_cast<int>(rng.Uniform(12)));
+      what = "SetHop";
+    } else if (kind < 88) {
+      g.SetStart(rng.Bernoulli(0.5) ? known() : next_id++);
+      what = "SetStart";
+    } else {
+      const uint64_t mod = 2 + rng.Uniform(6);
+      const uint64_t rem = rng.Uniform(mod);
+      g.RemoveNodesIf([&](ObjectId id) { return id % mod == rem; });
+      what = "RemoveNodesIf";
+    }
+    ASSERT_EQ(g.MaxHop(), BruteMaxHop(g)) << "after op " << op << " (" << what
+                                          << ")";
+  }
+  EXPECT_GT(new_src, 0);
+  EXPECT_GT(new_dst, 0);
+  EXPECT_GT(both_known, 0);
+  EXPECT_GT(both_new, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MaxHopPropertyTest,
+                         testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
 
 TEST(DotWriterTest, EmitsNodesEdgesAndAlertHighlight) {
   ObjectCatalog catalog;

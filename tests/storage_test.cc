@@ -214,10 +214,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ScanDestPropertyTest,
 
 /// Builds two stores over identical catalogs and events, one per
 /// backend; `segment_rows` is kept small so the columnar store has many
-/// segments to prune.
+/// segments to prune. A third, `pinned`, is a columnar store with one
+/// shard whatever APTRACE_SHARDS says, so its probe accounting can be
+/// checked against exact totals.
 struct BackendPair {
   EventStore row;
   EventStore columnar;
+  EventStore pinned;
 
   static EventStoreOptions Options(StorageBackendKind kind) {
     EventStoreOptions options;
@@ -226,20 +229,64 @@ struct BackendPair {
     options.segment_rows = 32;
     return options;
   }
+  static EventStoreOptions PinnedOptions() {
+    EventStoreOptions options = Options(StorageBackendKind::kColumnar);
+    options.shards = 1;
+    return options;
+  }
 
   BackendPair()
       : row(Options(StorageBackendKind::kRow)),
-        columnar(Options(StorageBackendKind::kColumnar)) {}
+        columnar(Options(StorageBackendKind::kColumnar)),
+        pinned(PinnedOptions()) {}
 
   void Append(const Event& e) {
     row.Append(e);
     columnar.Append(e);
+    pinned.Append(e);
   }
   void Seal() {
     row.Seal();
     columnar.Seal();
+    pinned.Seal();
+  }
+  /// Collects and replays one keyed dest and src probe on `pinned`.
+  void ReplayPinned(ObjectId key, TimeMicros lo, TimeMicros hi) {
+    SimClock clock;
+    pinned.ReplayScan(pinned.CollectDest(key, lo, hi), &clock, nullptr);
+    pinned.ReplayScan(pinned.CollectSrc(key, lo, hi), &clock, nullptr);
   }
 };
+
+/// Exact cumulative StoreStats of BackendPair::pinned after one seed's
+/// queries, recorded from the full column scan that the posting lists
+/// replaced: a probe walk that finds other rows, or counts probed,
+/// seeked or pruned segments differently, changes the simulated cost.
+struct PinnedTotals {
+  uint64_t seed;
+  uint64_t queries;
+  uint64_t rows_matched;
+  uint64_t partitions_probed;
+  uint64_t partitions_seeked;
+  uint64_t segments_pruned;
+  DurationMicros simulated_cost;
+};
+
+void ExpectPinnedTotals(const StoreStats& got,
+                        const std::vector<PinnedTotals>& table,
+                        uint64_t seed) {
+  const auto want =
+      std::find_if(table.begin(), table.end(),
+                   [seed](const PinnedTotals& t) { return t.seed == seed; });
+  ASSERT_NE(want, table.end()) << "no pinned totals for seed " << seed;
+  EXPECT_EQ(got.queries, want->queries);
+  EXPECT_EQ(got.rows_matched, want->rows_matched);
+  EXPECT_EQ(got.rows_filtered, 0u);
+  EXPECT_EQ(got.partitions_probed, want->partitions_probed);
+  EXPECT_EQ(got.partitions_seeked, want->partitions_seeked);
+  EXPECT_EQ(got.segments_pruned, want->segments_pruned);
+  EXPECT_EQ(got.simulated_cost, want->simulated_cost);
+}
 
 class BackendEquivalenceTest : public testing::TestWithParam<uint64_t> {};
 
@@ -247,7 +294,7 @@ TEST_P(BackendEquivalenceTest, ColumnarMatchesRowStore) {
   Rng rng(GetParam());
   BackendPair pair;
   std::vector<ObjectId> keys;
-  for (auto* store : {&pair.row, &pair.columnar}) {
+  for (auto* store : {&pair.row, &pair.columnar, &pair.pinned}) {
     ObjectCatalog& c = store->catalog();
     const HostId h1 = c.InternHost("h1");
     const HostId h2 = c.InternHost("h2");
@@ -306,6 +353,7 @@ TEST_P(BackendEquivalenceTest, ColumnarMatchesRowStore) {
     EXPECT_EQ(pair.columnar.ReplayScan(cd, &cc, nullptr),
               pair.row.ReplayScan(rd, &rc, nullptr))
         << label();
+    pair.ReplayPinned(key, lo, hi);
   }
 
   // Aggregate probe accounting: pruning may only reduce work. Over 60
@@ -316,6 +364,16 @@ TEST_P(BackendEquivalenceTest, ColumnarMatchesRowStore) {
   EXPECT_LE(columnar_stats.partitions_probed, row_stats.partitions_probed);
   EXPECT_GT(columnar_stats.segments_pruned, 0u);
   EXPECT_EQ(row_stats.segments_pruned, 0u);
+
+  static const std::vector<PinnedTotals> kTotals = {
+      // seed, queries, rows, probed, seeked, pruned, simulated cost
+      {11, 120, 282, 222, 157, 50, 43172000},
+      {22, 120, 287, 223, 154, 39, 43160000},
+      {33, 120, 361, 244, 183, 48, 44500000},
+      {44, 120, 354, 259, 200, 41, 44904000},
+      {55, 120, 404, 272, 201, 38, 45428000},
+  };
+  ExpectPinnedTotals(pair.pinned.stats(), kTotals, GetParam());
 }
 
 // Streaming ingestion: post-seal appends must be visible to queries on
@@ -325,7 +383,7 @@ TEST_P(BackendEquivalenceTest, StreamingAppendsAgree) {
   Rng rng(GetParam() ^ 0x7a11);
   BackendPair pair;
   ObjectId proc = 0, file = 0;
-  for (auto* store : {&pair.row, &pair.columnar}) {
+  for (auto* store : {&pair.row, &pair.columnar, &pair.pinned}) {
     ObjectCatalog& c = store->catalog();
     const HostId h = c.InternHost("h");
     proc = c.AddProcess(h, {.exename = "p"});
@@ -353,6 +411,20 @@ TEST_P(BackendEquivalenceTest, StreamingAppendsAgree) {
             pair.row.CollectDest(file, 0, 10000).rows);
   EXPECT_EQ(pair.columnar.CollectRange(2000, 8000).rows,
             pair.row.CollectRange(2000, 8000).rows);
+
+  // Keyed probes that straddle segments and the hot tail, each column.
+  pair.ReplayPinned(file, 0, 10000);
+  pair.ReplayPinned(proc, 1500, 7500);
+  pair.ReplayPinned(file, 4000, 4600);
+  static const std::vector<PinnedTotals> kTotals = {
+      // seed, queries, rows, probed, seeked, pruned, simulated cost
+      {11, 6, 234, 14, 11, 8, 4004000},
+      {22, 6, 235, 14, 11, 8, 4012000},
+      {33, 6, 243, 15, 12, 9, 4104000},
+      {44, 6, 255, 15, 12, 9, 4200000},
+      {55, 6, 243, 15, 12, 9, 4104000},
+  };
+  ExpectPinnedTotals(pair.pinned.stats(), kTotals, GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BackendEquivalenceTest,

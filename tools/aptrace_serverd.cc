@@ -71,6 +71,7 @@
 //   "serverd: ready" line to stdout so scripts can wait for it.
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -295,7 +296,10 @@ Flags ParseFlags(int argc, char** argv) {
 
 // Signal handlers may only touch async-signal-safe state; a watcher
 // thread polls this flag and performs the actual (mutex-taking) drain.
-volatile std::sig_atomic_t g_signalled = 0;
+// A lock-free atomic keeps the flag async-signal-safe and race-free.
+std::atomic<int> g_signalled{0};
+static_assert(std::atomic<int>::is_always_lock_free,
+              "the signal flag must be async-signal-safe");
 
 void OnSignal(int) { g_signalled = 1; }
 

@@ -33,6 +33,7 @@
 //   ephemeral port). SIGINT/SIGTERM or a `shard.shutdown` op drain
 //   gracefully.
 
+#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -152,7 +153,12 @@ Flags ParseFlags(int argc, char** argv) {
   return f;
 }
 
-volatile std::sig_atomic_t g_signalled = 0;
+// Set by the signal handler and the main thread, polled by the watcher
+// thread that drains the server: a lock-free atomic keeps the flag
+// async-signal-safe and race-free.
+std::atomic<int> g_signalled{0};
+static_assert(std::atomic<int>::is_always_lock_free,
+              "the signal flag must be async-signal-safe");
 
 void OnSignal(int) { g_signalled = 1; }
 
