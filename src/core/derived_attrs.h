@@ -17,10 +17,10 @@ namespace aptrace {
 /// Answers are memoized per object: during one analysis the underlying
 /// data is immutable, and the same object is typically tested many times.
 ///
-/// Thread-safe: the memo caches are mutex-guarded so the Executor's scan
-/// workers can evaluate where-filters concurrently with the coordinator.
-/// The answers themselves are pure functions of the immutable store, so
-/// races on *who* fills a cache slot cannot change any result.
+/// Thread-safe: the memo caches are mutex-guarded, so one provider may be
+/// queried from any thread. The answers themselves are pure functions of
+/// the immutable store, so races on *who* fills a cache slot cannot
+/// change any result.
 class StoreDerivedAttrs : public DerivedAttrs {
  public:
   StoreDerivedAttrs(const EventStore* store, TimeMicros range_begin,

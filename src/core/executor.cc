@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <optional>
 #include <thread>
 
 #include "obs/metrics.h"
@@ -53,10 +54,15 @@ const ExecutorMetrics& Em() {
   return m;
 }
 
-/// Pure per-row verdict bits a worker precomputes so the coordinator's
-/// replay filter never re-evaluates host or where predicates.
-constexpr uint8_t kVerdictHostOk = 1;
-constexpr uint8_t kVerdictWhereKeeps = 2;
+/// The pure row collection behind one window's scan: the frontier's
+/// flow-destination history when tracking backward, its flow-source
+/// history when tracking forward. Reads only the sealed store, so a scan
+/// worker may run it as well as the coordinator.
+RangeScanBatch CollectWindow(const TrackingContext& ctx, const ExecWindow& w) {
+  return ctx.spec.direction == bdl::TrackDirection::kForward
+             ? ctx.store->CollectSrc(w.frontier, w.begin, w.finish)
+             : ctx.store->CollectDest(w.frontier, w.begin, w.finish);
+}
 
 }  // namespace
 
@@ -73,11 +79,6 @@ const char* StopReasonName(StopReason r) {
 
 // ---------------------------------------------------------- Executor
 
-struct Executor::PrefetchResult {
-  RangeScanBatch batch;
-  std::vector<uint8_t> verdicts;  // kVerdict* bits, one per batch row
-};
-
 /// Filled once by the worker task that owns it, then read by the
 /// coordinator. `ready` flips under `mu`; the coordinator waits on `cv`
 /// when it pops a window whose prefetch is still in flight, then moves
@@ -90,7 +91,7 @@ struct Executor::Prefetch {
   Mutex mu{"Executor::Prefetch::mu"};
   CondVar cv;
   bool ready APTRACE_GUARDED_BY(mu) = false;
-  PrefetchResult result APTRACE_GUARDED_BY(mu);
+  RangeScanBatch batch APTRACE_GUARDED_BY(mu);
   std::exception_ptr error APTRACE_GUARDED_BY(mu);
 };
 
@@ -125,42 +126,20 @@ void Executor::StartPoolIfNeeded() {
 void Executor::SubmitPrefetch(const ExecWindow& w) {
   if (pool_ == nullptr || prefetch_.count(w.seq) != 0) return;
   auto entry = std::make_shared<Prefetch>();
-  // The task reads only immutable state (sealed store, context spec,
-  // mutex-guarded derived-attr caches); every exclusion or graph decision
-  // stays on the coordinator. ctx_ is stable while workers run: the pool
-  // is drained before ApplyRefinedContext swaps it.
+  // The task only collects rows from the sealed store; filtering and
+  // every exclusion or graph decision stay on the coordinator. ctx_ is
+  // stable while workers run: the pool is drained before
+  // ApplyRefinedContext swaps it.
   const TrackingContext* ctx = &ctx_;
-  const bool forward = ctx_.spec.direction == bdl::TrackDirection::kForward;
-  const ObjectId frontier = w.frontier;
-  const TimeMicros begin = w.begin;
-  const TimeMicros finish = w.finish;
-  auto task = [entry, ctx, forward, frontier, begin, finish] {
-    APTRACE_SPAN("executor/worker_scan");
+  auto task = [entry, ctx, w] {
     Prefetch* slot = entry.get();
     try {
       const TimeMicros t0 = MonotonicNowMicros();
-      const EventStore& store = *ctx->store;
-      RangeScanBatch batch = forward
-                                 ? store.CollectSrc(frontier, begin, finish)
-                                 : store.CollectDest(frontier, begin, finish);
-      std::vector<uint8_t> verdicts;
-      verdicts.reserve(batch.rows.size());
-      const ObjectCatalog& catalog = store.catalog();
-      for (const EventId id : batch.rows) {
-        const Event& e = store.Get(id);
-        uint8_t v = 0;
-        if (ctx->HostAllowed(e.host)) v |= kVerdictHostOk;
-        const ObjectId fresh = forward ? e.FlowDest() : e.FlowSource();
-        if (ctx->IsAnchor(fresh) || ctx->WhereKeeps(catalog.Get(fresh), &e)) {
-          v |= kVerdictWhereKeeps;
-        }
-        verdicts.push_back(v);
-      }
+      RangeScanBatch batch = CollectWindow(*ctx, w);
       Em().worker_scan_latency->Observe(
           MicrosToSeconds(MonotonicNowMicros() - t0));
       MutexLock lock(&slot->mu);
-      slot->result.batch = std::move(batch);
-      slot->result.verdicts = std::move(verdicts);
+      slot->batch = std::move(batch);
       slot->ready = true;
     } catch (...) {
       // Park the failure for the coordinator; letting it escape into the
@@ -238,7 +217,7 @@ void Executor::EnqueueWindowsFor(const Event& e, int state) {
   Em().windows_enqueued->Add(windows.size());
 }
 
-void Executor::ProcessWindow(const ExecWindow& w, const PrefetchResult* pre,
+void Executor::ProcessWindow(const RangeScanBatch& batch,
                              size_t* batch_edges, size_t* batch_nodes,
                              DurationMicros* scan_cost,
                              ScanProbeStats* probe) {
@@ -253,18 +232,8 @@ void Executor::ProcessWindow(const ExecWindow& w, const PrefetchResult* pre,
   // The host range and where-filter are pushed into the query itself (the
   // Refiner compiles them into the executable metadata): rows they reject
   // are discarded server-side at a fraction of the fetch cost.
-  //
-  // With a prefetch, the pure host/where verdicts were precomputed on a
-  // worker; only the order-sensitive exclusion bookkeeping runs here, in
-  // exactly the sequential decision order (the verdict table is indexed
-  // by replay position, which matches the fused scan's row order).
-  size_t row = 0;
   const auto filter = [&](const Event& e) {
-    uint8_t v = 0;
-    if (pre != nullptr) v = pre->verdicts[row++];
-    const bool host_ok =
-        pre != nullptr ? (v & kVerdictHostOk) != 0 : ctx_.HostAllowed(e.host);
-    if (!host_ok) {
+    if (!ctx_.HostAllowed(e.host)) {
       stats_.events_filtered++;
       return false;
     }
@@ -273,11 +242,7 @@ void Executor::ProcessWindow(const ExecWindow& w, const PrefetchResult* pre,
       stats_.events_filtered++;
       return false;
     }
-    const bool keeps =
-        pre != nullptr
-            ? (v & kVerdictWhereKeeps) != 0
-            : (ctx_.IsAnchor(fresh) || ctx_.WhereKeeps(catalog.Get(fresh), &e));
-    if (!keeps) {
+    if (!ctx_.IsAnchor(fresh) && !ctx_.WhereKeeps(catalog.Get(fresh), &e)) {
       // "deleted from the tracking analysis without further exploration"
       // (paper Section III-A1).
       excluded_.insert(fresh);
@@ -304,16 +269,7 @@ void Executor::ProcessWindow(const ExecWindow& w, const PrefetchResult* pre,
     const int state = maintainer_.OnEdgeAdded(e);
     EnqueueWindowsFor(e, state);
   };
-  if (pre != nullptr) {
-    ctx_.store->ReplayScan(pre->batch, clock_, visit, filter, scan_cost,
-                           probe);
-  } else if (forward) {
-    ctx_.store->ScanSrc(w.frontier, w.begin, w.finish, clock_, visit, filter,
-                        scan_cost, probe);
-  } else {
-    ctx_.store->ScanDest(w.frontier, w.begin, w.finish, clock_, visit,
-                         filter, scan_cost, probe);
-  }
+  ctx_.store->ReplayScan(batch, clock_, visit, filter, scan_cost, probe);
   stats_.work_units++;
   Em().windows_processed->Add();
 }
@@ -381,7 +337,7 @@ StopReason Executor::RunLoop(const RunLimits& limits) {
       continue;
     }
 
-    std::unique_ptr<PrefetchResult> pre;
+    std::optional<RangeScanBatch> prefetched;
     if (pool_ != nullptr) {
       if (const auto it = prefetch_.find(w.seq); it != prefetch_.end()) {
         const std::shared_ptr<Prefetch> slot = std::move(it->second);
@@ -395,10 +351,10 @@ StopReason Executor::RunLoop(const RunLimits& limits) {
           while (!raw->ready) raw->cv.Wait(lock);
         }
         if (raw->error != nullptr) std::rethrow_exception(raw->error);
-        pre = std::make_unique<PrefetchResult>(std::move(raw->result));
+        prefetched = std::move(raw->batch);
       } else {
-        // Submission failed or never happened; fall back to the fused
-        // sequential scan (identical results, just no overlap).
+        // Submission failed or never happened; the window is collected
+        // inline below (identical results, just no overlap).
         Em().prefetch_misses->Add();
       }
     }
@@ -408,8 +364,9 @@ StopReason Executor::RunLoop(const RunLimits& limits) {
     DurationMicros scan_cost = 0;
     ScanProbeStats probe;
     const TimeMicros wall0 = MonotonicNowMicros();
-    ProcessWindow(w, pre.get(), &batch_edges, &batch_nodes, &scan_cost,
-                  &probe);
+    ProcessWindow(prefetched.has_value() ? std::move(*prefetched)
+                                         : CollectWindow(ctx_, w),
+                  &batch_edges, &batch_nodes, &scan_cost, &probe);
     // Attribution happens on the coordinator with exactly the cost the
     // window charged, so the profile's axes reconcile with the engine's
     // own totals (wall micros are the sole nondeterministic field).
@@ -467,8 +424,9 @@ void Executor::RebuildQueue() {
 void Executor::ApplyRefinedContext(TrackingContext new_ctx,
                                    const RefineDelta& delta) {
   if (pool_ != nullptr) pool_->WaitIdle();  // workers read the old ctx_
-  // Cached prefetches carry the old context's verdicts and ranges; the
-  // Run-start top-up pass resubmits under the new context.
+  // Cached prefetches cover the windows as they were queued, and
+  // RebuildQueue below may clamp or drop them; the Run-start top-up pass
+  // resubmits under the new context.
   InvalidatePrefetches();
   ctx_ = std::move(new_ctx);
   maintainer_.UpdateContext(&ctx_);
@@ -511,7 +469,6 @@ void Executor::ApplyRefinedContext(TrackingContext new_ctx,
     maintainer_.PruneUnreachable();
     // Allow pruned-but-not-excluded objects to be rediscovered cleanly.
     for (ObjectId id : removed_nodes) covered_until_.erase(id);
-    const auto ids = graph_.NodeIds();
     for (auto it = covered_until_.begin(); it != covered_until_.end();) {
       if (!graph_.HasNode(it->first) && excluded_.count(it->first) == 0) {
         it = covered_until_.erase(it);

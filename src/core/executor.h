@@ -52,21 +52,22 @@ struct CheckpointDurableMark {
 /// different dependent events never rescan the same history
 /// ("no new nodes that could be explored" termination).
 ///
+/// Every window is one scan: its rows are collected (EventStore::
+/// CollectDest/CollectSrc) and then replayed through the Algorithm 1
+/// bookkeeping on the coordinator — host/where filtering, exclusion
+/// decisions, graph and maintainer mutation, coverage watermarks,
+/// update-log batches, and all simulated-cost charging.
+///
 /// Parallel scan pipeline (ctx.scan_threads > 1): the windows sitting in
 /// the priority queue are *speculatively prefetched* by a WorkerPool —
-/// each worker runs the pure, read-only row collection (EventStore::
-/// CollectDest/CollectSrc) plus the pure per-row host/where verdicts for
-/// one window. The coordinator thread then pops windows in the exact
-/// sequential priority order and *replays* each prefetched batch through
-/// the unmodified Algorithm 1 bookkeeping: graph and maintainer mutation,
-/// exclusion decisions, coverage watermarks, update-log batches, and all
-/// simulated-cost charging happen only on the coordinator, in the same
-/// order as the sequential path. The produced graph, update log, stats,
-/// and stop reason are therefore bit-identical to scan_threads == 1 for
-/// any input (tests/executor_differential_test.cc enforces this). The
-/// prefetch pays only when a scan crosses a network (a remote shard
-/// fleet); in process the sequential path is faster
-/// (docs/parallel_execution.md).
+/// each worker only runs the pure, read-only row collection for one
+/// window. The coordinator pops windows in the exact sequential priority
+/// order and replays each prefetched batch exactly as it replays one it
+/// collected itself. The produced graph, update log, stats, and stop
+/// reason are therefore bit-identical to scan_threads == 1 for any input
+/// (tests/executor_differential_test.cc enforces this). The prefetch pays
+/// only when a scan crosses a network (a remote shard fleet); in process
+/// the sequential path is faster (docs/parallel_execution.md).
 class Executor : public BacktrackEngine {
  public:
   /// `num_windows_k` is the user-configurable window count k (the paper's
@@ -143,22 +144,18 @@ class Executor : public BacktrackEngine {
   void ApplyRefinedContext(TrackingContext new_ctx, const RefineDelta& delta);
 
  private:
-  /// One window's speculative scan slot, filled by a worker thread.
-  /// Defined in executor.cc.
+  /// One window's speculative row collection, filled by a worker
+  /// thread. Defined in executor.cc.
   struct Prefetch;
-  /// The payload a completed prefetch hands the coordinator: the raw row
-  /// batch plus pure per-row verdicts. Defined in executor.cc.
-  struct PrefetchResult;
 
   void Bootstrap();
-  /// Applies one window's scan to the graph. `pre` non-null replays a
-  /// prefetched batch (verdict-driven filter); null runs the fused
-  /// sequential scan. Both paths make identical decisions in identical
-  /// order. `scan_cost` receives the simulated cost charged; `probe` the
-  /// scan's attribution record for the query profile.
-  void ProcessWindow(const ExecWindow& w, const PrefetchResult* pre,
-                     size_t* batch_edges, size_t* batch_nodes,
-                     DurationMicros* scan_cost, ScanProbeStats* probe);
+  /// Applies one window's collected rows to the graph: replays `batch`
+  /// through the host/where filter and the graph/maintainer updates.
+  /// `scan_cost` receives the simulated cost charged; `probe` the scan's
+  /// attribution record for the query profile.
+  void ProcessWindow(const RangeScanBatch& batch, size_t* batch_edges,
+                     size_t* batch_nodes, DurationMicros* scan_cost,
+                     ScanProbeStats* probe);
   /// Enqueues the uncovered execution windows of `e` (Algorithm 1's
   /// genExeWindow), priced with the current state/boost of its source.
   void EnqueueWindowsFor(const Event& e, int state);

@@ -81,8 +81,7 @@ int GraphMaintainer::OnEdgeAdded(const Event& event) {
     for (EventId eid : node_edges) {
       const DepGraph::Edge& edge = graph_->GetEdge(eid);
       const ObjectId next_node = fwd ? edge.dst : edge.src;
-      const Event& original = ctx_->store->Get(edge.event);
-      const int next = StateAfterEdge(node_state, next_node, original);
+      const int next = StateAfterEdge(node_state, next_node, edge.row());
       if (next > graph_->StateOf(next_node)) {
         graph_->SetState(next_node, next);
         if (k >= 2 && next >= k) end_point_reached_ = true;
@@ -109,8 +108,7 @@ void GraphMaintainer::RepropagateStates() {
     for (EventId eid : node_edges) {
       const DepGraph::Edge& edge = graph_->GetEdge(eid);
       const ObjectId next_node = fwd ? edge.dst : edge.src;
-      const Event& original = ctx_->store->Get(edge.event);
-      const int next = StateAfterEdge(node_state, next_node, original);
+      const int next = StateAfterEdge(node_state, next_node, edge.row());
       if (next > graph_->StateOf(next_node)) {
         graph_->SetState(next_node, next);
         if (k >= 2 && next >= k) end_point_reached_ = true;
@@ -176,7 +174,7 @@ void GraphMaintainer::RecomputeBoosts() {
   rule_progress_.clear();
   boosted_.clear();
   graph_->ForEachEdge([&](const DepGraph::Edge& edge) {
-    FeedRules(ctx_->store->Get(edge.event));
+    FeedRules(edge.row());
   });
 }
 

@@ -80,19 +80,7 @@ void RemoteShardBackend::Seal() {
   MarkSealed(num_events_ == 0);
 }
 
-void RemoteShardBackend::CacheRows(const std::vector<Event>& rows) const {
-  MutexLock lock(&cache_mu_);
-  if (cache_.size() + rows.size() > kMaxCachedRows) cache_.clear();
-  for (const Event& e : rows) cache_.emplace(e.id, e);
-}
-
 Event RemoteShardBackend::Get(EventId id) const {
-  {
-    MutexLock lock(&cache_mu_);
-    if (const auto it = cache_.find(id); it != cache_.end()) {
-      return it->second;
-    }
-  }
   obs::JsonDict fields;
   fields.Add("lids", Base64Encode(EncodeU64s({id})));
   fields.Add("count", uint64_t{1});
@@ -108,7 +96,6 @@ Event RemoteShardBackend::Get(EventId id) const {
                         std::to_string(rows.ok() ? rows.value().size() : 0) +
                         " rows for one lid");
   }
-  CacheRows(rows.value());
   return rows.value()[0];
 }
 
@@ -136,11 +123,8 @@ RangeScanBatch RemoteShardBackend::CollectRpc(const char* op, ObjectId key,
                     "collect payload row count disagrees with the "
                     "declared count");
   }
-  CacheRows(rows.value());
-
   RangeScanBatch batch;
-  batch.rows.reserve(rows.value().size());
-  for (const Event& e : rows.value()) batch.rows.push_back(e.id);
+  batch.rows = std::move(rows).value();
   batch.partitions_probed = resp.GetUint("probed");
   batch.partitions_seeked = resp.GetUint("seeked");
   batch.segments_pruned = resp.GetUint("pruned");
@@ -205,14 +189,7 @@ size_t RemoteShardBackend::Compact(WorkerPool* pool) {
 size_t RemoteShardBackend::EvictBefore(TimeMicros horizon) {
   obs::JsonDict fields;
   fields.Add("horizon", static_cast<int64_t>(horizon));
-  const size_t evicted =
-      client_->Call("shard.evict", fields).GetUint("rows");
-  // Evicted rows may be stale in the cache (point Gets still resolve on
-  // the daemon's archive tier, but serving them from here would mask an
-  // eviction bug); drop everything.
-  MutexLock lock(&cache_mu_);
-  cache_.clear();
-  return evicted;
+  return client_->Call("shard.evict", fields).GetUint("rows");
 }
 
 }  // namespace aptrace::dist

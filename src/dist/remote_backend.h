@@ -3,13 +3,11 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "dist/shard_client.h"
 #include "storage/cost_model.h"
 #include "storage/storage_backend.h"
-#include "util/sync.h"
 
 namespace aptrace::dist {
 
@@ -24,9 +22,6 @@ namespace aptrace::dist {
 ///   - NumEvents/TailRows/sealed: mirrored counters, because the
 ///     ShardedStore reads them under its own aggregation mutex and a
 ///     network round-trip under a leaf lock would invert the lock order.
-///   - Get(): served from a bounded row cache filled by every collect
-///     response (a collect's rows are almost always fetched right after
-///     by ReplayScan); misses fall back to a shard.fetch RPC.
 ///   - stats(): the base-class zeroes. Replay runs coordinator-side, so
 ///     the ShardedStore's per-shard attribution is the source of truth.
 ///
@@ -37,11 +32,15 @@ namespace aptrace::dist {
 /// immediately — the daemon must see the row before the next quantum's
 /// queries do.
 ///
+/// A Collect* response carries whole rows, so no scan calls Get() and
+/// nothing is cached. Get() is a point lookup (session start, checkpoint
+/// restore, trace export): one shard.fetch round trip per call.
+///
 /// Thread-safety: matches the read-after-build contract. Collect*/Get/
 /// HasIncomingWrite/FlowDestsOf are safe concurrently post-seal (the
-/// ShardClient pools connections per calling thread; the row cache is
-/// mutex-guarded). Append/Seal/lifecycle calls require the same external
-/// synchronization as every other backend.
+/// ShardClient pools connections per calling thread and this class keeps
+/// no mutable read state). Append/Seal/lifecycle calls require the same
+/// external synchronization as every other backend.
 ///
 /// All failures surface as DistError (DST-E00x) — the ShardedStore's
 /// fan-out turns them into a degraded-mode report naming the shard.
@@ -49,9 +48,6 @@ class RemoteShardBackend final : public StorageBackend {
  public:
   /// Rows buffered per shard.append batch during bulk load.
   static constexpr size_t kAppendBatch = 512;
-  /// Row-cache bound; reaching it evicts the whole cache (collect-driven
-  /// refill makes per-entry LRU pointless).
-  static constexpr size_t kMaxCachedRows = 1 << 18;
 
   RemoteShardBackend(std::shared_ptr<ShardClient> client,
                      StorageBackendKind kind, CostModel cost_model);
@@ -83,15 +79,12 @@ class RemoteShardBackend final : public StorageBackend {
   const ShardClient& client() const { return *client_; }
 
  private:
-  /// Shared RPC + decode behind the three Collect* ops. Decoded rows are
-  /// deposited into the cache so the ensuing ReplayScan's Gets are local.
+  /// Shared RPC + decode behind the three Collect* ops.
   RangeScanBatch CollectRpc(const char* op, ObjectId key, TimeMicros begin,
                             TimeMicros end) const;
 
   /// Sends the buffered pre-seal rows as one shard.append.
   void FlushAppends();
-
-  void CacheRows(const std::vector<Event>& rows) const;
 
   std::shared_ptr<ShardClient> client_;
 
@@ -101,10 +94,6 @@ class RemoteShardBackend final : public StorageBackend {
 
   std::vector<Event> pending_;  // pre-seal append buffer
   EventId pending_first_lid_ = 0;
-
-  mutable Mutex cache_mu_{"RemoteShardBackend::cache_mu_"};
-  mutable std::unordered_map<uint64_t, Event> cache_
-      APTRACE_GUARDED_BY(cache_mu_);
 };
 
 }  // namespace aptrace::dist

@@ -59,6 +59,8 @@ struct Event {
   ObjectId FlowDest() const {
     return direction == FlowDirection::kSubjectToObject ? object : subject;
   }
+
+  bool operator==(const Event&) const = default;
 };
 
 /// An event `b` backward-depends on `a` iff `a` happened strictly before

@@ -59,6 +59,8 @@ DepGraph::AddResult DepGraph::AddEventEdge(const Event& event) {
   e.dst = dst;
   e.timestamp = event.timestamp;
   e.action = event.action;
+  e.direction = event.direction;
+  e.host = event.host;
   e.amount = event.amount;
   edges_.emplace(event.id, e);
 

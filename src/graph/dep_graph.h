@@ -35,13 +35,32 @@ class DepGraph {
     std::vector<EventId> out_edges;  // edges whose flow source is this node
   };
 
+  /// One event, kept whole: row() gives back exactly the Event that
+  /// AddEventEdge was passed, so the engine never looks an edge's event up
+  /// in the store again.
   struct Edge {
     EventId event = kInvalidEventId;
     ObjectId src = kInvalidObjectId;  // flow source
     ObjectId dst = kInvalidObjectId;  // flow destination
     TimeMicros timestamp = 0;
     ActionType action = ActionType::kRead;
+    FlowDirection direction = FlowDirection::kObjectToSubject;
+    HostId host = kInvalidHostId;
     uint64_t amount = 0;
+
+    Event row() const {
+      const bool forward = direction == FlowDirection::kSubjectToObject;
+      Event e;
+      e.id = event;
+      e.subject = forward ? src : dst;
+      e.object = forward ? dst : src;
+      e.timestamp = timestamp;
+      e.amount = amount;
+      e.action = action;
+      e.direction = direction;
+      e.host = host;
+      return e;
+    }
   };
 
   enum class AddResult : uint8_t {
@@ -121,6 +140,9 @@ class DepGraph {
   /// is non-zero: its index is MaxHop().
   std::vector<size_t> hop_counts_;
 };
+
+// direction and host sit in the padding after action.
+static_assert(sizeof(DepGraph::Edge) == 48, "DepGraph::Edge grew");
 
 }  // namespace aptrace
 

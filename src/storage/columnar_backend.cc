@@ -38,11 +38,6 @@ const LifecycleMetrics& Lm() {
   return m;
 }
 
-bool EventTsIdLess(const Event& a, const Event& b) {
-  if (a.timestamp != b.timestamp) return a.timestamp < b.timestamp;
-  return a.id < b.id;
-}
-
 /// The permutation that sorts `keys` ascending, equal keys kept in input
 /// order: an LSD radix sort, one counting pass per byte. Bytes on which
 /// every key agrees cannot reorder anything and are skipped, so keys
@@ -84,19 +79,6 @@ void Permute(std::vector<Event>& rows, std::vector<uint32_t>& order) {
     }
     rows[j] = held;
   }
-}
-
-/// (timestamp, id) pairs are the scan-order currency: segment output is
-/// already globally sorted, tail output is sorted, and the two merge by
-/// this ordering.
-struct TsId {
-  TimeMicros ts;
-  EventId id;
-};
-
-bool TsIdLess(const TsId& a, const TsId& b) {
-  if (a.ts != b.ts) return a.ts < b.ts;
-  return a.id < b.id;
 }
 
 }  // namespace
@@ -302,13 +284,8 @@ size_t ColumnarSegmentBackend::SealTail(WorkerPool* pool) {
   tail_rows.reserve(tail_n);
   for (const uint32_t pos : tail_sorted_) tail_rows.push_back(tail_[pos]);
 
-  std::vector<Event> merged;
-  merged.reserve(spliced.size() + tail_n);
-  std::merge(spliced.begin(), spliced.end(), tail_rows.begin(),
-             tail_rows.end(), std::back_inserter(merged), EventTsIdLess);
-
   row_refs_.resize(sealed_rows_ + tail_n);
-  RecutInto(std::move(merged), splice, pool);
+  RecutInto(MergeScanRows(spliced, tail_rows), splice, pool);
   sealed_rows_ += tail_n;
   tail_.clear();
   tail_sorted_.clear();
@@ -486,7 +463,7 @@ RangeScanBatch ColumnarSegmentBackend::CollectImpl(bool by_src, ObjectId key,
     }
     batch.partitions_probed++;
     const std::span<const uint32_t> hits = KeyRows(s, by_src, key, begin, end);
-    for (const uint32_t r : hits) batch.rows.push_back(s.ids[r]);
+    for (const uint32_t r : hits) batch.rows.push_back(MaterializeRow(s, r));
     if (!hits.empty()) batch.partitions_seeked++;
   }
 
@@ -494,29 +471,15 @@ RangeScanBatch ColumnarSegmentBackend::CollectImpl(bool by_src, ObjectId key,
     const auto [t0, t1] = TailBounds(begin, end);
     if (t0 < t1) {
       batch.partitions_probed++;
-      std::vector<TsId> tail_hits;
+      std::vector<Event> tail_hits;
       for (size_t i = t0; i < t1; ++i) {
         const Event& e = tail_[tail_sorted_[i]];
         const ObjectId k = by_src ? e.FlowSource() : e.FlowDest();
-        if (k != key) continue;
-        tail_hits.push_back({e.timestamp, e.id});
+        if (k == key) tail_hits.push_back(e);
       }
       if (!tail_hits.empty()) {
         batch.partitions_seeked++;
-        // Merge the sorted tail hits into the sorted segment output.
-        std::vector<TsId> merged;
-        merged.reserve(batch.rows.size() + tail_hits.size());
-        std::vector<TsId> seg_hits;
-        seg_hits.reserve(batch.rows.size());
-        for (const EventId id : batch.rows) {
-          const RowRef ref = row_refs_[id];
-          seg_hits.push_back({segments_[ref.segment].ts[ref.offset], id});
-        }
-        std::merge(seg_hits.begin(), seg_hits.end(), tail_hits.begin(),
-                   tail_hits.end(), std::back_inserter(merged), TsIdLess);
-        batch.rows.clear();
-        batch.rows.reserve(merged.size());
-        for (const TsId& m : merged) batch.rows.push_back(m.id);
+        batch.rows = MergeScanRows(batch.rows, tail_hits);
       }
     }
   }
@@ -551,7 +514,7 @@ RangeScanBatch ColumnarSegmentBackend::CollectRange(TimeMicros begin,
         std::lower_bound(s.ts.begin(), s.ts.end(), begin) - s.ts.begin();
     const auto r1 = std::lower_bound(s.ts.begin() + r0, s.ts.end(), end) -
                     s.ts.begin();
-    batch.rows.insert(batch.rows.end(), s.ids.begin() + r0, s.ids.begin() + r1);
+    for (auto r = r0; r < r1; ++r) batch.rows.push_back(MaterializeRow(s, r));
   }
 
   if (!tail_.empty()) {
@@ -559,25 +522,12 @@ RangeScanBatch ColumnarSegmentBackend::CollectRange(TimeMicros begin,
     if (t0 < t1) {
       batch.partitions_probed++;
       batch.partitions_seeked++;
-      std::vector<TsId> tail_hits;
-      tail_hits.reserve(t1 - t0);
+      std::vector<Event> tail_rows;
+      tail_rows.reserve(t1 - t0);
       for (size_t i = t0; i < t1; ++i) {
-        const Event& e = tail_[tail_sorted_[i]];
-        tail_hits.push_back({e.timestamp, e.id});
+        tail_rows.push_back(tail_[tail_sorted_[i]]);
       }
-      std::vector<TsId> seg_hits;
-      seg_hits.reserve(batch.rows.size());
-      for (const EventId id : batch.rows) {
-        const RowRef ref = row_refs_[id];
-        seg_hits.push_back({segments_[ref.segment].ts[ref.offset], id});
-      }
-      std::vector<TsId> merged;
-      merged.reserve(seg_hits.size() + tail_hits.size());
-      std::merge(seg_hits.begin(), seg_hits.end(), tail_hits.begin(),
-                 tail_hits.end(), std::back_inserter(merged), TsIdLess);
-      batch.rows.clear();
-      batch.rows.reserve(merged.size());
-      for (const TsId& m : merged) batch.rows.push_back(m.id);
+      batch.rows = MergeScanRows(batch.rows, tail_rows);
     }
   }
   return batch;

@@ -65,15 +65,41 @@ ShardedStore::Snapshot EventStore::ShardSnapshot() const {
   return snap;
 }
 
+RangeScanBatch EventStore::CollectDest(ObjectId dest, TimeMicros begin,
+                                       TimeMicros end) const {
+  APTRACE_SPAN("store/collect");
+  return backend_->CollectDest(dest, begin, end);
+}
+
+RangeScanBatch EventStore::CollectSrc(ObjectId src, TimeMicros begin,
+                                      TimeMicros end) const {
+  APTRACE_SPAN("store/collect");
+  return backend_->CollectSrc(src, begin, end);
+}
+
+RangeScanBatch EventStore::CollectRange(TimeMicros begin,
+                                        TimeMicros end) const {
+  APTRACE_SPAN("store/collect");
+  return backend_->CollectRange(begin, end);
+}
+
+size_t EventStore::ReplayScan(const RangeScanBatch& batch, Clock* clock,
+                              const std::function<void(const Event&)>& fn,
+                              const RowFilter& filter,
+                              DurationMicros* cost_out,
+                              ScanProbeStats* probe_out) const {
+  APTRACE_SPAN("store/replay");
+  return backend_->ReplayScan(batch, clock, fn, filter, cost_out, probe_out);
+}
+
 size_t EventStore::ScanDest(ObjectId dest, TimeMicros begin, TimeMicros end,
                             Clock* clock,
                             const std::function<void(const Event&)>& fn,
                             const RowFilter& filter,
                             DurationMicros* cost_out,
                             ScanProbeStats* probe_out) const {
-  APTRACE_SPAN("store/scan_dest");
-  return backend_->ReplayScan(backend_->CollectDest(dest, begin, end), clock,
-                              fn, filter, cost_out, probe_out);
+  return ReplayScan(CollectDest(dest, begin, end), clock, fn, filter,
+                    cost_out, probe_out);
 }
 
 size_t EventStore::ScanSrc(ObjectId src, TimeMicros begin, TimeMicros end,
@@ -82,16 +108,14 @@ size_t EventStore::ScanSrc(ObjectId src, TimeMicros begin, TimeMicros end,
                            const RowFilter& filter,
                            DurationMicros* cost_out,
                            ScanProbeStats* probe_out) const {
-  APTRACE_SPAN("store/scan_src");
-  return backend_->ReplayScan(backend_->CollectSrc(src, begin, end), clock, fn,
-                              filter, cost_out, probe_out);
+  return ReplayScan(CollectSrc(src, begin, end), clock, fn, filter, cost_out,
+                    probe_out);
 }
 
 size_t EventStore::ScanRange(TimeMicros begin, TimeMicros end, Clock* clock,
                              const std::function<void(const Event&)>& fn)
     const {
-  APTRACE_SPAN("store/scan_range");
-  return backend_->ReplayScan(backend_->CollectRange(begin, end), clock, fn);
+  return ReplayScan(CollectRange(begin, end), clock, fn);
 }
 
 }  // namespace aptrace

@@ -126,8 +126,9 @@ class EventStore {
 
   size_t NumEvents() const { return backend_->NumEvents(); }
 
-  /// Materializes one event row. By value: the columnar backend
-  /// reassembles rows from column arrays, so no stable reference exists.
+  /// Materializes one event row: a point lookup (scans deliver whole
+  /// rows). By value: the columnar backend reassembles rows from column
+  /// arrays, so no stable reference exists.
   Event Get(EventId id) const { return backend_->Get(id); }
 
   /// Earliest/latest event timestamps; [0, 0) when empty.
@@ -153,35 +154,30 @@ class EventStore {
   /// Pure row collection for ScanDest: the rows and probe counters the
   /// scan would visit, with no clock charge, no stats, no metrics. Safe to
   /// call concurrently from any number of threads on a sealed store.
+  /// Every Collect* records one `store/collect` span on the calling
+  /// thread.
   RangeScanBatch CollectDest(ObjectId dest, TimeMicros begin,
-                             TimeMicros end) const {
-    return backend_->CollectDest(dest, begin, end);
-  }
+                             TimeMicros end) const;
 
   /// Pure row collection for ScanSrc (same contract as CollectDest).
   RangeScanBatch CollectSrc(ObjectId src, TimeMicros begin,
-                            TimeMicros end) const {
-    return backend_->CollectSrc(src, begin, end);
-  }
+                            TimeMicros end) const;
 
   /// Pure row collection for ScanRange (same contract as CollectDest).
-  RangeScanBatch CollectRange(TimeMicros begin, TimeMicros end) const {
-    return backend_->CollectRange(begin, end);
-  }
+  /// Holds every row in range in memory at once.
+  RangeScanBatch CollectRange(TimeMicros begin, TimeMicros end) const;
 
   /// Second half of a split scan: iterates a collected batch through
   /// `filter`/`fn` and charges clock/stats/metrics exactly as the fused
   /// ScanDest/ScanSrc would. Calling Collect* then ReplayScan is
   /// observably identical to one fused scan (same callback order, same
-  /// simulated cost, same counters). Returns the rows delivered.
+  /// simulated cost, same counters). Returns the rows delivered. Records
+  /// one `store/replay` span.
   size_t ReplayScan(const RangeScanBatch& batch, Clock* clock,
                     const std::function<void(const Event&)>& fn,
                     const RowFilter& filter = nullptr,
                     DurationMicros* cost_out = nullptr,
-                    ScanProbeStats* probe_out = nullptr) const {
-    return backend_->ReplayScan(batch, clock, fn, filter, cost_out,
-                                probe_out);
-  }
+                    ScanProbeStats* probe_out = nullptr) const;
 
   /// Mirror of ScanDest for forward tracking: events whose data-flow
   /// *source* is `src` within [begin, end), ascending by time.

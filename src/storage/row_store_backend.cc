@@ -121,8 +121,9 @@ RangeScanBatch RowStoreBackend::CollectImpl(bool by_src, ObjectId key,
     const auto [lo, hi] = TimeBounds(found->second, events_, begin, end);
     if (lo == hi) continue;
     batch.partitions_seeked++;
-    batch.rows.insert(batch.rows.end(), found->second.begin() + lo,
-                      found->second.begin() + hi);
+    for (size_t i = lo; i < hi; ++i) {
+      batch.rows.push_back(events_[found->second[i]]);
+    }
   }
   return batch;
 }
@@ -150,8 +151,9 @@ RangeScanBatch RowStoreBackend::CollectRange(TimeMicros begin,
     batch.partitions_probed++;
     batch.partitions_seeked++;
     const auto [lo, hi] = TimeBounds(it->second.all, events_, begin, end);
-    batch.rows.insert(batch.rows.end(), it->second.all.begin() + lo,
-                      it->second.all.begin() + hi);
+    for (size_t i = lo; i < hi; ++i) {
+      batch.rows.push_back(events_[it->second.all[i]]);
+    }
   }
   return batch;
 }

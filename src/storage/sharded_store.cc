@@ -106,7 +106,7 @@ EventId ShardedStore::Append(Event event) {
   NoteAppend(event);
   GrowMask(&dest_shards_, event.FlowDest(), s);
   GrowMask(&src_shards_, event.FlowSource(), s);
-  meta_.push_back(RowMeta{0, event.timestamp, s, event.host});
+  meta_.push_back(RowMeta{0, s});
   const EventId lid = shards_[s].backend->Append(std::move(event));
   assert(lid == shards_[s].gid_of.size());
   meta_.back().lid = lid;
@@ -208,13 +208,6 @@ RangeScanBatch ShardedStore::Gather(bool by_src, ObjectId key, uint64_t mask,
   }
 
   RangeScanBatch out;
-  struct Source {
-    uint32_t shard;
-    std::vector<EventId> gids;
-    size_t next = 0;
-  };
-  std::vector<Source> sources;
-  size_t total_rows = 0;
   for (size_t i = 0; i < probe_shards.size(); ++i) {
     const uint32_t s = probe_shards[i];
     RangeScanBatch& b = probes[i].batch;
@@ -224,43 +217,22 @@ RangeScanBatch ShardedStore::Gather(bool by_src, ObjectId key, uint64_t mask,
     slice.partitions_probed = b.partitions_probed;
     slice.partitions_seeked = b.partitions_seeked;
     slice.segments_pruned = b.segments_pruned;
-    std::vector<EventId> gids;
-    gids.reserve(b.rows.size());
-    for (const EventId lid : b.rows) {
-      const EventId gid = shards_[s].gid_of[lid];
-      if (home != kInvalidHostId && meta_[gid].host != home) {
-        slice.boundary_rows++;
-      }
-      gids.push_back(gid);
+    for (Event& e : b.rows) {
+      // Shards assign their own dense local ids; callers only ever see
+      // the coordinator's global id (the monolithic append-order id).
+      e.id = shards_[s].gid_of[e.id];
+      if (home != kInvalidHostId && e.host != home) slice.boundary_rows++;
     }
     out.partitions_probed += b.partitions_probed;
     out.partitions_seeked += b.partitions_seeked;
     out.segments_pruned += b.segments_pruned;
     out.shard_slices.push_back(slice);
-    total_rows += gids.size();
-    sources.push_back(Source{s, std::move(gids), 0});
-  }
-  // Deterministic k-way merge by (timestamp, gid). Within a shard, local
-  // ids are assigned in global append order, so each per-shard list is
-  // already (timestamp, gid)-sorted and the merge reproduces exactly the
-  // order the monolithic backend would have returned.
-  out.rows.reserve(total_rows);
-  while (out.rows.size() < total_rows) {
-    Source* best = nullptr;
-    TimeMicros best_ts = 0;
-    EventId best_gid = 0;
-    for (Source& src : sources) {
-      if (src.next >= src.gids.size()) continue;
-      const EventId gid = src.gids[src.next];
-      const TimeMicros ts = meta_[gid].timestamp;
-      if (best == nullptr || ts < best_ts ||
-          (ts == best_ts && gid < best_gid)) {
-        best = &src;
-        best_ts = ts;
-        best_gid = gid;
-      }
-    }
-    out.rows.push_back(best->gids[best->next++]);
+    // Deterministic merge by (timestamp, gid). Within a shard, local ids
+    // are assigned in global append order, so each per-shard list is
+    // already (timestamp, gid)-sorted and the merge reproduces exactly
+    // the order the monolithic backend would have returned.
+    out.rows = out.rows.empty() ? std::move(b.rows)
+                                : MergeScanRows(out.rows, b.rows);
   }
   return out;
 }
@@ -366,9 +338,8 @@ size_t ShardedStore::ReplayScan(const RangeScanBatch& batch, Clock* clock,
   std::vector<uint64_t> filtered_by(shards_.size(), 0);
   size_t rows = 0;
   size_t filtered = 0;
-  for (const EventId id : batch.rows) {
-    const Event e = Get(id);
-    const uint32_t s = meta_[id].shard;
+  for (const Event& e : batch.rows) {
+    const uint32_t s = meta_[e.id].shard;
     if (filter && !filter(e)) {
       filtered++;
       filtered_by[s]++;

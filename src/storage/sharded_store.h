@@ -34,8 +34,8 @@ struct EventStoreOptions;
 /// source/destination — maintained at append time) and fan the probe out
 /// only to those shards. Each shard returns its rows in its own
 /// ascending (timestamp, local id) order plus its probe counters; the
-/// coordinator translates local ids to global ids, performs a
-/// deterministic (timestamp, gid) k-way merge, and records one
+/// coordinator rewrites each row's local id to its global id, merges the
+/// rows deterministically by (timestamp, gid), and records one
 /// ShardScanSlice per shard probed. Because local-id order equals
 /// global-id order within a shard, the merged batch is exactly the
 /// (timestamp, id)-ordered row set the monolithic backend would return.
@@ -128,25 +128,24 @@ class ShardedStore final : public StorageBackend {
     std::vector<EventId> gid_of;  // local id -> global id (append order)
   };
 
-  /// Coordinator-side row directory: everything the merge and boundary
-  /// accounting need without materializing the row from its shard.
+  /// Coordinator-side row directory: where a global id lives (point
+  /// lookups) and which shard a replayed row is attributed to. The merge
+  /// and the boundary accounting read the collected rows themselves.
   struct RowMeta {
     EventId lid = 0;  // local id within `shard`
-    TimeMicros timestamp = 0;
     uint32_t shard = 0;
-    HostId host = kInvalidHostId;
   };
 
   uint32_t RouteShard(HostId host, TimeMicros timestamp) const;
 
   /// Shared scatter-gather walk behind CollectDest/CollectSrc/
   /// CollectRange: probes the masked shards (concurrently on the fan-out
-  /// pool when configured, else sequentially), translates local to global
-  /// ids, counts boundary rows against `home`, and k-way merges by
-  /// (timestamp, gid). `mask` bit s selects shard s. A probe that throws
-  /// (a remote shard down) is caught per shard; the call then raises one
-  /// dist::DistError(DST-E005) naming every missing shard — degraded
-  /// mode, never a hang.
+  /// pool when configured, else sequentially), rewrites each row's local
+  /// id to its global id, counts boundary rows against `home`, and merges
+  /// the per-shard rows by (timestamp, gid). `mask` bit s selects shard
+  /// s. A probe that throws (a remote shard down) is caught per shard;
+  /// the call then raises one dist::DistError(DST-E005) naming every
+  /// missing shard — degraded mode, never a hang.
   RangeScanBatch Gather(bool by_src, ObjectId key, uint64_t mask,
                         HostId home, TimeMicros begin, TimeMicros end) const;
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdlib>
+#include <iterator>
 
 #include "obs/metrics.h"
 #include "obs/names.h"
@@ -84,6 +85,20 @@ const StorageBackend::BackendMetrics& StorageBackend::Bm() const {
                                                 : kRowMetrics;
 }
 
+std::vector<Event> MergeScanRows(const std::vector<Event>& a,
+                                 const std::vector<Event>& b) {
+  std::vector<Event> merged;
+  merged.reserve(a.size() + b.size());
+  std::merge(a.begin(), a.end(), b.begin(), b.end(),
+             std::back_inserter(merged), [](const Event& x, const Event& y) {
+               if (x.timestamp != y.timestamp) {
+                 return x.timestamp < y.timestamp;
+               }
+               return x.id < y.id;
+             });
+  return merged;
+}
+
 StorageBackend::StorageBackend(StorageBackendKind kind, CostModel cost_model)
     : kind_(kind), cost_model_(cost_model) {}
 
@@ -118,8 +133,7 @@ size_t StorageBackend::ReplayScan(const RangeScanBatch& batch, Clock* clock,
   assert(sealed_);
   size_t rows = 0;
   size_t filtered = 0;
-  for (const EventId id : batch.rows) {
-    const Event e = Get(id);
+  for (const Event& e : batch.rows) {
     if (filter && !filter(e)) {
       filtered++;
       continue;

@@ -103,13 +103,11 @@ struct ScanProbeStats {
   uint64_t shard_probes = 1;
 };
 
-/// Raw output of a pure index scan: the rows a Scan* call would visit (in
-/// the same ascending (timestamp, id) order) plus the probe counters the
-/// cost model charges. Produced by CollectDest/CollectSrc — which are
-/// side-effect-free and safe to run from any thread — and consumed by
-/// ReplayScan, which applies the filter and charges exactly what the
-/// fused scan would have. ScanDest/ScanSrc are implemented as
-/// Collect + Replay, so the split is equivalent by construction.
+/// Merges two row lists that each ascend by (timestamp, id) — the order
+/// every Collect* delivers — into one list in that order.
+std::vector<Event> MergeScanRows(const std::vector<Event>& a,
+                                 const std::vector<Event>& b);
+
 /// One shard's contribution to a scatter-gathered batch (sharded store
 /// only): the slice of the probe counters that this shard's backend
 /// produced before the coordinator merged the per-shard row lists.
@@ -127,8 +125,16 @@ struct ShardScanSlice {
   uint64_t boundary_rows = 0;
 };
 
+/// Raw output of a pure index scan: the rows a Scan* call would visit, in
+/// the same ascending (timestamp, id) order and each carrying its own id,
+/// plus the probe counters the cost model charges. Produced by
+/// CollectDest/CollectSrc/CollectRange — which are side-effect-free and
+/// safe to run from any thread — and consumed by ReplayScan, which
+/// applies the filter and charges exactly what the fused scan would
+/// have. ScanDest/ScanSrc are implemented as Collect + Replay, so the
+/// split is equivalent by construction.
 struct RangeScanBatch {
-  std::vector<EventId> rows;
+  std::vector<Event> rows;
   /// Storage units consulted (partitions or segments; see
   /// BackendCapabilities::probe_unit).
   uint64_t partitions_probed = 0;
@@ -148,9 +154,9 @@ struct RangeScanBatch {
 /// query surface is split in two layers:
 ///
 ///   - virtual Collect* calls: pure row collection. No clock charge, no
-///     stats, no metrics — each returns the matching EventIds in
-///     ascending (timestamp, id) order plus the probe counters the cost
-///     model will charge. Both backends MUST deliver identical row sets
+///     stats, no metrics — each returns the matching rows in ascending
+///     (timestamp, id) order plus the probe counters the cost model will
+///     charge. Both backends MUST deliver identical row sets
 ///     in identical order for the same stored events, which is what makes
 ///     analysis output bit-identical across backends (only the simulated
 ///     cost may differ, via the probe counters).
@@ -190,9 +196,10 @@ class StorageBackend {
 
   virtual size_t NumEvents() const = 0;
 
-  /// Materializes one event row by id. By value: a columnar backend
-  /// reassembles the row from its column arrays, so there is no stable
-  /// Event in memory to reference.
+  /// Materializes one event row by id: a point lookup, never part of a
+  /// scan (Collect* already delivers whole rows). By value: a columnar
+  /// backend reassembles the row from its column arrays, so there is no
+  /// stable Event in memory to reference.
   virtual Event Get(EventId id) const = 0;
 
   /// Earliest/latest event timestamps; [0, 0) when empty (after Seal).

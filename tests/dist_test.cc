@@ -47,6 +47,21 @@ void ExpectSameEvent(const Event& a, const Event& b) {
   EXPECT_EQ(a.host, b.host);
 }
 
+/// The row contract of every Collect*: each row equals Get(row.id) field
+/// for field, and rows ascend strictly by (timestamp, id).
+void ExpectRowContract(const StorageBackend& backend,
+                       const RangeScanBatch& batch) {
+  for (size_t i = 0; i < batch.rows.size(); ++i) {
+    const Event& row = batch.rows[i];
+    EXPECT_EQ(row, backend.Get(row.id)) << "row " << i;
+    if (i == 0) continue;
+    const Event& prev = batch.rows[i - 1];
+    EXPECT_TRUE(prev.timestamp < row.timestamp ||
+                (prev.timestamp == row.timestamp && prev.id < row.id))
+        << "rows " << i - 1 << ", " << i << " out of order";
+  }
+}
+
 // ---------------------------------------------------------------- codec
 
 TEST(ShardCodec, Base64RoundTripsArbitraryBytes) {
@@ -223,9 +238,9 @@ TEST_F(ShardServiceTest, AppendSealCollectRoundTrip) {
   EXPECT_EQ(resp.GetUint("count"), want.rows.size());
   EXPECT_EQ(resp.GetUint("probed"), want.partitions_probed);
   for (size_t i = 0; i < want.rows.size(); ++i) {
-    EXPECT_EQ(rows.value()[i].id, want.rows[i]);
+    EXPECT_EQ(rows.value()[i], want.rows[i]);
     ExpectSameEvent(rows.value()[i],
-                    events[static_cast<size_t>(want.rows[i])]);
+                    events[static_cast<size_t>(want.rows[i].id)]);
   }
 }
 
@@ -434,13 +449,16 @@ TEST(RemoteShardBackend, MirrorsALocalBackendExactly) {
     const RangeScanBatch b = local.CollectDest(probe.FlowDest(), 0, 10'000);
     EXPECT_EQ(a.rows, b.rows);
     EXPECT_EQ(a.partitions_probed, b.partitions_probed);
+    ExpectRowContract(remote, a);
     const RangeScanBatch c = remote.CollectSrc(probe.FlowSource(), 0, 3000);
     const RangeScanBatch d = local.CollectSrc(probe.FlowSource(), 0, 3000);
     EXPECT_EQ(c.rows, d.rows);
+    ExpectRowContract(remote, c);
   }
   const RangeScanBatch a = remote.CollectRange(100, 4000);
   const RangeScanBatch b = local.CollectRange(100, 4000);
   EXPECT_EQ(a.rows, b.rows);
+  ExpectRowContract(remote, a);
 
   for (const EventId lid : {EventId{0}, EventId{57}, EventId{599}}) {
     ExpectSameEvent(remote.Get(lid), local.Get(lid));

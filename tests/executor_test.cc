@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
 #include <set>
 
 #include "core/baseline_executor.h"
 #include "core/executor.h"
+#include "core/session.h"
 #include "bdl/analyzer.h"
 #include "obs/metrics.h"
 #include "obs/names.h"
+#include "storage/row_store_backend.h"
 #include "tests/test_trace.h"
 
 namespace aptrace {
@@ -302,6 +306,91 @@ TEST_F(ExecutorTest, ResolveContextNotFound) {
       &clock_);
   EXPECT_FALSE(ctx.ok());
   EXPECT_EQ(ctx.status().code(), StatusCode::kNotFound);
+}
+
+/// A row store shard that counts its point lookups.
+class GetCountingBackend final : public StorageBackend {
+ public:
+  GetCountingBackend(const EventStoreOptions& options,
+                     std::atomic<size_t>* gets)
+      : StorageBackend(StorageBackendKind::kRow, options.cost_model),
+        inner_(options.cost_model, options.partition_micros),
+        gets_(gets) {}
+
+  const BackendCapabilities& capabilities() const override {
+    return inner_.capabilities();
+  }
+  EventId Append(Event event) override {
+    NoteAppend(event);
+    return inner_.Append(std::move(event));
+  }
+  void Seal() override {
+    inner_.Seal();
+    MarkSealed(inner_.NumEvents() == 0);
+  }
+  size_t NumEvents() const override { return inner_.NumEvents(); }
+  Event Get(EventId id) const override {
+    gets_->fetch_add(1);
+    return inner_.Get(id);
+  }
+  RangeScanBatch CollectDest(ObjectId dest, TimeMicros begin,
+                             TimeMicros end) const override {
+    return inner_.CollectDest(dest, begin, end);
+  }
+  RangeScanBatch CollectSrc(ObjectId src, TimeMicros begin,
+                            TimeMicros end) const override {
+    return inner_.CollectSrc(src, begin, end);
+  }
+  RangeScanBatch CollectRange(TimeMicros begin, TimeMicros end) const override {
+    return inner_.CollectRange(begin, end);
+  }
+  bool HasIncomingWrite(ObjectId object, TimeMicros begin,
+                        TimeMicros end) const override {
+    return inner_.HasIncomingWrite(object, begin, end);
+  }
+  std::vector<ObjectId> FlowDestsOf(ObjectId src, TimeMicros begin,
+                                    TimeMicros end) const override {
+    return inner_.FlowDestsOf(src, begin, end);
+  }
+
+ private:
+  RowStoreBackend inner_;
+  std::atomic<size_t>* gets_;
+};
+
+// Scans deliver whole rows and every graph edge keeps its row, so an
+// investigation over a sharded store — replay, the maintainer's state
+// cascade, and Finish's re-propagation — never looks a row up by id.
+TEST(ScanRowsTest, InvestigationNeverLooksRowsUpById) {
+  std::atomic<size_t> gets{0};
+  EventStoreOptions options;
+  options.shards = 2;
+  options.shard_backend_factory =
+      [&gets](size_t, const EventStoreOptions& o)
+      -> std::unique_ptr<StorageBackend> {
+    return std::make_unique<GetCountingBackend>(o, &gets);
+  };
+  const MiniTrace trace = MakeMiniTrace(CostModel::Free(), options);
+  ASSERT_EQ(trace.store->shard_count(), 2u);
+  const Event alert = trace.store->Get(trace.alert_event);
+  gets = 0;
+
+  SimClock clock;
+  Session session(trace.store.get(), &clock);
+  ASSERT_TRUE(session
+                  .StartWithSpec(
+                      Spec("backward ip x[dst_ip = \"185.220.101.45\"] -> "
+                           "proc p[exename = \"excel.exe\"] -> ip m[dst_ip "
+                           "= \"198.51.100.9\"]"),
+                      alert)
+                  .ok());
+  const auto stopped = session.Step({});
+  ASSERT_TRUE(stopped.ok()) << stopped.status();
+  EXPECT_EQ(stopped.value(), StopReason::kCompleted);
+  EXPECT_EQ(session.graph().NumEdges(), MiniTrace::kClosureEdges);
+  ASSERT_TRUE(session.Finish(true).ok());
+  EXPECT_TRUE(session.graph().HasNode(trace.mail_sock));
+  EXPECT_EQ(gets.load(), 0u);
 }
 
 }  // namespace

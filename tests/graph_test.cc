@@ -148,12 +148,20 @@ TEST_P(MaxHopPropertyTest, MatchesBruteForceAfterEveryOperation) {
     const uint64_t kind = rng.Uniform(100);
     std::string what;
     if (kind < 70) {
-      // kWrite flows subject -> object: subject is the source.
       const uint64_t shape = rng.Uniform(4);
       const ObjectId src = (shape == 0 || shape == 3) ? next_id++ : known();
       const ObjectId dst = (shape == 1 || shape == 3) ? next_id++ : known();
       const bool src_was = g.HasNode(src), dst_was = g.HasNode(dst);
-      g.AddEventEdge(Ev(next_event++, src, dst, op, ActionType::kWrite));
+      // Alternate the flow direction: a write flows subject -> object, a
+      // read object -> subject. Host and amount vary too, so the edge's
+      // row() must hand every field back.
+      Event e = op % 2 == 0 ? Ev(next_event++, src, dst, op, ActionType::kWrite)
+                            : Ev(next_event++, dst, src, op, ActionType::kRead);
+      e.host = static_cast<HostId>(op % 7);
+      e.amount = static_cast<uint64_t>(op) * 3;
+      ASSERT_EQ(e.FlowSource(), src);
+      g.AddEventEdge(e);
+      ASSERT_EQ(g.GetEdge(e.id).row(), e) << "after op " << op;
       new_src += !src_was && dst_was;
       new_dst += src_was && !dst_was;
       both_known += src_was && dst_was;

@@ -24,6 +24,21 @@ Event MakeEvent(ObjectId subject, ObjectId object, TimeMicros t,
   return e;
 }
 
+/// The row contract of every Collect*: each row equals Get(row.id) field
+/// for field, and rows ascend strictly by (timestamp, id).
+void ExpectRowContract(const EventStore& store, const RangeScanBatch& batch,
+                       const std::string& label) {
+  for (size_t i = 0; i < batch.rows.size(); ++i) {
+    const Event& row = batch.rows[i];
+    EXPECT_EQ(row, store.Get(row.id)) << label << " row " << i;
+    if (i == 0) continue;
+    const Event& prev = batch.rows[i - 1];
+    EXPECT_TRUE(prev.timestamp < row.timestamp ||
+                (prev.timestamp == row.timestamp && prev.id < row.id))
+        << label << " rows " << i - 1 << ", " << i << " out of order";
+  }
+}
+
 class EventStoreTest : public testing::Test {
  protected:
   void SetUp() override {
@@ -336,9 +351,15 @@ TEST_P(BackendEquivalenceTest, ColumnarMatchesRowStore) {
     const RangeScanBatch cs = pair.columnar.CollectSrc(key, lo, hi);
     EXPECT_EQ(cs.rows, rs.rows) << "CollectSrc " << label();
 
-    EXPECT_EQ(pair.columnar.CollectRange(lo, hi).rows,
-              pair.row.CollectRange(lo, hi).rows)
-        << "CollectRange " << label();
+    const RangeScanBatch rr = pair.row.CollectRange(lo, hi);
+    const RangeScanBatch cr = pair.columnar.CollectRange(lo, hi);
+    EXPECT_EQ(cr.rows, rr.rows) << "CollectRange " << label();
+    ExpectRowContract(pair.row, rd, "row CollectDest " + label());
+    ExpectRowContract(pair.row, rs, "row CollectSrc " + label());
+    ExpectRowContract(pair.row, rr, "row CollectRange " + label());
+    ExpectRowContract(pair.columnar, cd, "columnar CollectDest " + label());
+    ExpectRowContract(pair.columnar, cs, "columnar CollectSrc " + label());
+    ExpectRowContract(pair.columnar, cr, "columnar CollectRange " + label());
 
     EXPECT_EQ(pair.columnar.HasIncomingWrite(key, lo, hi),
               pair.row.HasIncomingWrite(key, lo, hi))
@@ -411,6 +432,16 @@ TEST_P(BackendEquivalenceTest, StreamingAppendsAgree) {
             pair.row.CollectDest(file, 0, 10000).rows);
   EXPECT_EQ(pair.columnar.CollectRange(2000, 8000).rows,
             pair.row.CollectRange(2000, 8000).rows);
+  // The columnar collects below merge sealed segments with the hot tail.
+  for (EventStore* store : {&pair.row, &pair.columnar}) {
+    const std::string kind = store->backend().name();
+    ExpectRowContract(*store, store->CollectDest(file, 0, 10000),
+                      kind + " CollectDest");
+    ExpectRowContract(*store, store->CollectSrc(proc, 1500, 7500),
+                      kind + " CollectSrc");
+    ExpectRowContract(*store, store->CollectRange(2000, 8000),
+                      kind + " CollectRange");
+  }
 
   // Keyed probes that straddle segments and the hot tail, each column.
   pair.ReplayPinned(file, 0, 10000);
@@ -536,6 +567,7 @@ TEST_P(ShardEquivalenceTest, ShardedMatchesMonolithic) {
         const RangeScanBatch md = mono.CollectDest(key, lo, hi);
         const RangeScanBatch sd = sharded.CollectDest(key, lo, hi);
         EXPECT_EQ(sd.rows, md.rows) << "CollectDest " << label();
+        ExpectRowContract(sharded, sd, "sharded CollectDest " + label());
         // Every delivered row is attributed to exactly one shard slice.
         uint64_t slice_rows = 0;
         for (const ShardScanSlice& slice : sd.shard_slices) {
@@ -544,12 +576,14 @@ TEST_P(ShardEquivalenceTest, ShardedMatchesMonolithic) {
         }
         EXPECT_EQ(slice_rows, sd.rows.size()) << label();
 
-        EXPECT_EQ(sharded.CollectSrc(key, lo, hi).rows,
-                  mono.CollectSrc(key, lo, hi).rows)
+        const RangeScanBatch ss = sharded.CollectSrc(key, lo, hi);
+        EXPECT_EQ(ss.rows, mono.CollectSrc(key, lo, hi).rows)
             << "CollectSrc " << label();
-        EXPECT_EQ(sharded.CollectRange(lo, hi).rows,
-                  mono.CollectRange(lo, hi).rows)
+        ExpectRowContract(sharded, ss, "sharded CollectSrc " + label());
+        const RangeScanBatch sr = sharded.CollectRange(lo, hi);
+        EXPECT_EQ(sr.rows, mono.CollectRange(lo, hi).rows)
             << "CollectRange " << label();
+        ExpectRowContract(sharded, sr, "sharded CollectRange " + label());
         EXPECT_EQ(sharded.HasIncomingWrite(key, lo, hi),
                   mono.HasIncomingWrite(key, lo, hi))
             << label();

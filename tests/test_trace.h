@@ -39,9 +39,11 @@ struct MiniTrace {
   static constexpr size_t kClosureNodes = 10;
 };
 
-inline MiniTrace MakeMiniTrace(CostModel cost_model = CostModel::Free()) {
+/// `options` picks the layout (shards, backend factory); its partition
+/// width and cost model are overridden.
+inline MiniTrace MakeMiniTrace(CostModel cost_model = CostModel::Free(),
+                               EventStoreOptions options = {}) {
   MiniTrace t;
-  EventStoreOptions options;
   options.partition_micros = 25;  // several partitions across t=10..90
   options.cost_model = cost_model;
   t.store = std::make_unique<EventStore>(options);
