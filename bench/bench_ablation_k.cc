@@ -28,8 +28,7 @@ int Main(int argc, char** argv) {
   for (int k : {1, 2, 4, 8, 12, 16, 24}) {
     std::vector<CaseRun> runs(alerts.size());
     ParallelFor(alerts.size(), args.threads, [&](size_t i) {
-      runs[i] = RunCase(*store, alerts[i], /*use_baseline=*/false, k, cap, {},
-                        args.scan_threads);
+      runs[i] = RunCase(*store, alerts[i], /*use_baseline=*/false, k, cap);
     });
     SampleStats waits;
     for (const CaseRun& run : runs) waits.AddAll(run.waits_seconds);

@@ -28,12 +28,11 @@ struct CompareRun {
 };
 
 CompareRun RunCompareCase(const EventStore& store, const Event& alert,
-                          int windows_k, int scan_threads) {
+                          int windows_k) {
   SimClock clock;
   SessionOptions options;
   options.use_baseline = false;
   options.num_windows_k = windows_k;
-  options.scan_threads = scan_threads;
   Session session(&store, &clock, options);
 
   const bdl::TrackingSpec spec = workload::GenericSpecFor(store, alert);
@@ -65,8 +64,7 @@ BackendResult RunAll(EventStore& store, const std::vector<Event>& alerts,
   store.ResetStats();
   const TimeMicros wall_start = MonotonicNowMicros();
   ParallelFor(alerts.size(), args.threads, [&](size_t i) {
-    result.cases[i] = RunCompareCase(store, alerts[i], args.windows_k,
-                                     args.scan_threads);
+    result.cases[i] = RunCompareCase(store, alerts[i], args.windows_k);
   });
   result.wall_seconds =
       MicrosToSeconds(MonotonicNowMicros() - wall_start);

@@ -29,7 +29,6 @@ struct BenchArgs {
   uint64_t seed = 42;
   int windows_k = 8;       // the paper's empirical k
   int threads = 0;         // 0 = hardware concurrency (results identical)
-  int scan_threads = 1;    // executor scan workers per case (1 = sequential)
   /// Storage backend (default: APTRACE_BACKEND env var, else row).
   /// Results are identical across backends; only simulated cost differs.
   StorageBackendKind backend = DefaultStorageBackendKind();
@@ -43,7 +42,12 @@ struct BenchArgs {
   std::string invocation;   // argv joined, recorded in the run metadata
 
   static BenchArgs Parse(int argc, char** argv) {
-    BenchArgs args;
+    return Parse(argc, argv, BenchArgs());
+  }
+
+  /// Parses argv over `args`, whose fields are the defaults a flag
+  /// overrides.
+  static BenchArgs Parse(int argc, char** argv, BenchArgs args) {
     for (int i = 0; i < argc; ++i) {
       if (i) args.invocation += ' ';
       args.invocation += argv[i];
@@ -62,8 +66,6 @@ struct BenchArgs {
         args.windows_k = std::atoi(a + 4);
       } else if (std::strncmp(a, "--threads=", 10) == 0) {
         args.threads = std::atoi(a + 10);
-      } else if (std::strncmp(a, "--scan-threads=", 15) == 0) {
-        args.scan_threads = std::atoi(a + 15);
       } else if (std::strncmp(a, "--backend=", 10) == 0) {
         const auto parsed = ParseStorageBackendKind(a + 10);
         if (!parsed.has_value()) {
@@ -96,7 +98,7 @@ struct BenchArgs {
       } else if (std::strcmp(a, "--help") == 0) {
         std::printf(
             "flags: --cases=N --hosts=N --days=N --seed=N --k=N "
-            "--threads=N --scan-threads=N --backend=row|columnar "
+            "--threads=N --backend=row|columnar "
             "--shards=N --bench-json=F "
             "--metrics-out=F --trace-out=F --meta-out=F\n");
         // Single-threaded flag parsing at process start.
@@ -130,20 +132,16 @@ struct CaseRun {
 };
 
 /// Backtracks from `alert` with either engine, capped at `sim_cap`
-/// simulated time (negative = uncapped). `on_update` is optional;
-/// `scan_threads` selects the executor's parallel scan pipeline (results
-/// are identical for any value).
+/// simulated time (negative = uncapped). `on_update` is optional.
 inline CaseRun RunCase(const EventStore& store, const Event& alert,
                        bool use_baseline, int windows_k,
                        DurationMicros sim_cap,
                        const std::function<void(const UpdateBatch&,
-                                                Clock&)>& on_update = {},
-                       int scan_threads = 1) {
+                                                Clock&)>& on_update = {}) {
   SimClock clock;
   SessionOptions options;
   options.use_baseline = use_baseline;
   options.num_windows_k = windows_k;
-  options.scan_threads = scan_threads;
   Session session(&store, &clock, options);
 
   const bdl::TrackingSpec spec = workload::GenericSpecFor(store, alert);

@@ -35,7 +35,6 @@ int Main(int argc, char** argv) {
     SimClock clock;
     SessionOptions options;
     options.num_windows_k = args.windows_k;
-    options.scan_threads = args.scan_threads;
     Session session(store.get(), &clock, options);
     const bdl::TrackingSpec spec = workload::GenericSpecFor(*store, alert);
     if (!session.StartWithSpec(spec, alert).ok()) continue;

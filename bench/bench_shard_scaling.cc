@@ -61,7 +61,6 @@ ShardRun RunLadderRung(size_t shards, const BenchArgs& args) {
     SessionOptions options;
     options.use_baseline = false;
     options.num_windows_k = args.windows_k;
-    options.scan_threads = args.scan_threads;
     Session session(store.get(), &clock, options);
     const bdl::TrackingSpec spec =
         workload::GenericSpecFor(*store, alerts[i]);
@@ -228,7 +227,6 @@ int Main(int argc, char** argv) {
   top.Add("days", static_cast<int64_t>(args.days));
   top.Add("seed", args.seed);
   top.Add("k", static_cast<int64_t>(args.windows_k));
-  top.Add("scan_threads", static_cast<int64_t>(args.scan_threads));
   top.Add("ok", !failed);
   top.AddRaw("runs", runs_json);
   std::ofstream out(args.bench_json);

@@ -58,7 +58,6 @@ CaseRow RunAttackCase(const std::string& name, const BenchArgs& args) {
     SimClock clock;
     SessionOptions options;
     options.num_windows_k = args.windows_k;
-    options.scan_threads = args.scan_threads;
     Session session(&store, &clock, options);
     if (!session.Start(scenario.bdl_scripts[0]).ok()) return row;
     const auto found = [&] {

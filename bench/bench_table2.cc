@@ -59,7 +59,7 @@ int Main(int argc, char** argv) {
     baseline_runs[i] = RunCase(*store, alerts[i], /*use_baseline=*/true,
                                args.windows_k, cap);
     aptrace_runs[i] = RunCase(*store, alerts[i], /*use_baseline=*/false,
-                              args.windows_k, cap, {}, args.scan_threads);
+                              args.windows_k, cap);
   });
   WaitAggregate baseline;
   WaitAggregate aptrace;

@@ -261,7 +261,6 @@ Status Session::LoadCheckpoint(const std::string& path) {
   const Event alert = store_->Get(alert_id);
   auto ctx = ResolveContext(*store_, std::move(spec.value()), clock_, alert);
   if (!ctx.ok()) return ctx.status();
-  ctx.value().scan_threads = options_.scan_threads;
 
   auto executor = MakeExecutor(std::move(ctx.value()), k);
   if (auto s = executor->RestoreCheckpoint(is); !s.ok()) return s;

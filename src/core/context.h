@@ -38,13 +38,6 @@ struct TrackingContext {
   Event start_event;
   ObjectId start_node = kInvalidObjectId;
 
-  /// Execution knob, not part of the compiled spec: scan worker threads
-  /// for the responsive Executor. 1 = the sequential legacy path, 0 =
-  /// hardware concurrency, N > 1 = the parallel prefetch pipeline (results
-  /// are bit-identical either way; see docs/parallel_execution.md).
-  /// Carried here so contexts rebuilt by the Refiner keep the setting.
-  int scan_threads = 1;
-
   /// True when `host` passes the host filter.
   bool HostAllowed(HostId host) const {
     return !host_filter.has_value() || host_filter->count(host) != 0;

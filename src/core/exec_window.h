@@ -57,14 +57,13 @@ struct ExecWindowLess {
 };
 
 /// The Executor's window priority queue: a binary max-heap over
-/// ExecWindowLess with the two extras std::priority_queue cannot offer —
-/// in-place iteration (entries(), for checkpointing and for the parallel
-/// pipeline's prefetch submission) and a sorted snapshot.
+/// ExecWindowLess with the extra std::priority_queue cannot offer — a
+/// sorted snapshot, for checkpointing.
 ///
 /// Pop order is identical to std::priority_queue with the same comparator:
 /// ExecWindowLess is a strict *total* order (the seq tie-break), so every
-/// valid heap yields the same pop sequence — the parallel executor's
-/// determinism contract leans on this.
+/// valid heap yields the same pop sequence — the batched executor, which
+/// pops windows ahead and pushes them back, leans on this.
 class WindowQueue {
  public:
   explicit WindowQueue(ExecWindowLess less = {}) : less_(less) {}
@@ -81,9 +80,6 @@ class WindowQueue {
   bool empty() const { return heap_.empty(); }
   size_t size() const { return heap_.size(); }
   void clear() { heap_.clear(); }
-
-  /// The pending windows in heap order (NOT priority order).
-  const std::vector<ExecWindow>& entries() const { return heap_; }
 
   /// A copy of the pending windows in pop (priority) order.
   std::vector<ExecWindow> SortedSnapshot() const {

@@ -1,15 +1,11 @@
 #include "core/executor.h"
 
 #include <algorithm>
-#include <exception>
-#include <optional>
-#include <thread>
 
 #include "obs/metrics.h"
 #include "obs/names.h"
 #include "obs/trace.h"
 #include "util/logging.h"
-#include "util/worker_pool.h"
 
 namespace aptrace {
 
@@ -24,12 +20,7 @@ struct ExecutorMetrics {
   obs::Counter* dedup_clips;
   obs::Gauge* queue_depth;
   obs::LatencyHistogram* update_batch_latency;
-  obs::Gauge* scan_threads;
   obs::Counter* prefetch_hits;
-  obs::Counter* prefetch_waits;
-  obs::Counter* prefetch_misses;
-  obs::Gauge* pool_queue_depth;
-  obs::LatencyHistogram* worker_scan_latency;
   obs::Counter* scan_cost;
 };
 
@@ -42,13 +33,7 @@ const ExecutorMetrics& Em() {
       obs::Metrics().FindOrCreateCounter(obs::names::kDedupWindowClips),
       obs::Metrics().FindOrCreateGauge(obs::names::kExecutorQueueDepth),
       obs::Metrics().FindOrCreateHistogram(obs::names::kUpdateBatchLatency),
-      obs::Metrics().FindOrCreateGauge(obs::names::kExecutorScanThreads),
       obs::Metrics().FindOrCreateCounter(obs::names::kExecutorPrefetchHits),
-      obs::Metrics().FindOrCreateCounter(obs::names::kExecutorPrefetchWaits),
-      obs::Metrics().FindOrCreateCounter(obs::names::kExecutorPrefetchMisses),
-      obs::Metrics().FindOrCreateGauge(obs::names::kExecutorPoolQueueDepth),
-      obs::Metrics().FindOrCreateHistogram(
-          obs::names::kExecutorWorkerScanLatency),
       obs::Metrics().FindOrCreateCounter(obs::names::kExecutorScanCostMicros),
   };
   return m;
@@ -56,12 +41,12 @@ const ExecutorMetrics& Em() {
 
 /// The pure row collection behind one window's scan: the frontier's
 /// flow-destination history when tracking backward, its flow-source
-/// history when tracking forward. Reads only the sealed store, so a scan
-/// worker may run it as well as the coordinator.
-RangeScanBatch CollectWindow(const TrackingContext& ctx, const ExecWindow& w) {
-  return ctx.spec.direction == bdl::TrackDirection::kForward
-             ? ctx.store->CollectSrc(w.frontier, w.begin, w.finish)
-             : ctx.store->CollectDest(w.frontier, w.begin, w.finish);
+/// history when tracking forward.
+CollectProbe WindowProbe(const TrackingContext& ctx, const ExecWindow& w) {
+  return CollectProbe{ctx.spec.direction == bdl::TrackDirection::kForward
+                          ? ProbeKind::kSrc
+                          : ProbeKind::kDest,
+                      w.frontier, w.begin, w.finish};
 }
 
 }  // namespace
@@ -79,22 +64,6 @@ const char* StopReasonName(StopReason r) {
 
 // ---------------------------------------------------------- Executor
 
-/// Filled once by the worker task that owns it, then read by the
-/// coordinator. `ready` flips under `mu`; the coordinator waits on `cv`
-/// when it pops a window whose prefetch is still in flight, then moves
-/// the result out under the lock — nothing reads guarded fields after.
-/// A task that throws (a remote shard down, surfacing as DistError from
-/// the store) parks the exception in `error` and still flips `ready`, so
-/// the coordinator wakes and rethrows instead of waiting forever on a
-/// slot the pool silently abandoned.
-struct Executor::Prefetch {
-  Mutex mu{"Executor::Prefetch::mu"};
-  CondVar cv;
-  bool ready APTRACE_GUARDED_BY(mu) = false;
-  RangeScanBatch batch APTRACE_GUARDED_BY(mu);
-  std::exception_ptr error APTRACE_GUARDED_BY(mu);
-};
-
 Executor::Executor(TrackingContext ctx, Clock* clock, int num_windows_k,
                    bool temporal_priority, bool coverage_dedup)
     : ctx_(std::move(ctx)),
@@ -102,65 +71,9 @@ Executor::Executor(TrackingContext ctx, Clock* clock, int num_windows_k,
       k_(std::max(1, num_windows_k)),
       coverage_dedup_(coverage_dedup),
       maintainer_(&ctx_, &graph_),
-      queue_(ExecWindowLess{temporal_priority}) {
-  const int requested = ctx_.scan_threads;
-  scan_threads_ =
-      requested == 0
-          ? std::max(1, static_cast<int>(std::thread::hardware_concurrency()))
-          : std::clamp(requested, 1, WorkerPool::kMaxThreads);
-}
-
-Executor::~Executor() {
-  // Run()'s trailing WaitIdle barrier guarantees no in-flight task still
-  // references this executor; queued ones are discarded.
-  if (pool_ != nullptr) pool_->Shutdown(/*run_pending=*/false);
-}
-
-void Executor::StartPoolIfNeeded() {
-  if (scan_threads_ <= 1 || pool_ != nullptr) return;
-  pool_ = std::make_unique<WorkerPool>(scan_threads_, [] {
-    obs::Tracer::Global().SetThreadName("scan-worker");
-  });
-}
-
-void Executor::SubmitPrefetch(const ExecWindow& w) {
-  if (pool_ == nullptr || prefetch_.count(w.seq) != 0) return;
-  auto entry = std::make_shared<Prefetch>();
-  // The task only collects rows from the sealed store; filtering and
-  // every exclusion or graph decision stay on the coordinator. ctx_ is
-  // stable while workers run: the pool is drained before
-  // ApplyRefinedContext swaps it.
-  const TrackingContext* ctx = &ctx_;
-  auto task = [entry, ctx, w] {
-    Prefetch* slot = entry.get();
-    try {
-      const TimeMicros t0 = MonotonicNowMicros();
-      RangeScanBatch batch = CollectWindow(*ctx, w);
-      Em().worker_scan_latency->Observe(
-          MicrosToSeconds(MonotonicNowMicros() - t0));
-      MutexLock lock(&slot->mu);
-      slot->batch = std::move(batch);
-      slot->ready = true;
-    } catch (...) {
-      // Park the failure for the coordinator; letting it escape into the
-      // pool would strand the coordinator on a never-ready slot.
-      MutexLock lock(&slot->mu);
-      slot->error = std::current_exception();
-      slot->ready = true;
-    }
-    slot->cv.NotifyAll();
-  };
-  if (pool_->Submit(std::move(task))) {
-    prefetch_.emplace(w.seq, std::move(entry));
-  }
-}
-
-void Executor::SubmitMissingPrefetches() {
-  if (pool_ == nullptr) return;
-  for (const ExecWindow& w : queue_.entries()) SubmitPrefetch(w);
-}
-
-void Executor::InvalidatePrefetches() { prefetch_.clear(); }
+      queue_(ExecWindowLess{temporal_priority}),
+      collect_batch_(std::max<size_t>(
+          1, ctx_.store->backend().capabilities().collect_batch)) {}
 
 void Executor::Bootstrap() {
   stats_.run_start = clock_->NowMicros();
@@ -209,9 +122,6 @@ void Executor::EnqueueWindowsFor(const Event& e, int state) {
     w.state = state;
     w.boosted = boosted;
     w.seq = seq_++;
-    // Speculative prefetch: the worker pool starts collecting this
-    // window's rows while earlier windows are still being applied.
-    SubmitPrefetch(w);
     queue_.push(w);
   }
   Em().windows_enqueued->Add(windows.size());
@@ -276,31 +186,57 @@ void Executor::ProcessWindow(const RangeScanBatch& batch,
 
 StopReason Executor::Run(const RunLimits& limits) {
   obs::Tracer::Global().SetThreadName("coordinator");
-  StartPoolIfNeeded();
-  Em().scan_threads->Set(scan_threads_);
   if (!bootstrapped_) Bootstrap();
-  // Top-up pass: windows restored from a checkpoint or kept across a
-  // refine have no prefetch yet.
-  SubmitMissingPrefetches();
-  StopReason reason = StopReason::kStopped;
-  std::exception_ptr run_error;
-  try {
-    reason = RunLoop(limits);
-  } catch (...) {
-    // The barrier below must run even when the loop throws (a degraded
-    // distributed scan): in-flight tasks still reference this executor.
-    run_error = std::current_exception();
+  // Collected rows live for this Run only: between Runs callers ingest,
+  // refine, checkpoint, or let another session's quantum run.
+  struct ClearOnExit {
+    std::unordered_map<uint64_t, RangeScanBatch>* collected;
+    ~ClearOnExit() { collected->clear(); }
+  } clear_on_exit{&collected_};
+  return RunLoop(limits);
+}
+
+bool Executor::IsStale(const ExecWindow& w) const {
+  return excluded_.count(w.frontier) != 0 ||
+         (ctx_.spec.hop_limit >= 0 && graph_.HasNode(w.frontier) &&
+          graph_.GetNode(w.frontier).hop + 1 > ctx_.spec.hop_limit);
+}
+
+RangeScanBatch Executor::TakeRows(const ExecWindow& w) {
+  if (collect_batch_ == 1) {
+    const CollectProbe p = WindowProbe(ctx_, w);
+    return p.kind == ProbeKind::kSrc
+               ? ctx_.store->CollectSrc(p.key, p.begin, p.end)
+               : ctx_.store->CollectDest(p.key, p.begin, p.end);
   }
-  if (pool_ != nullptr) {
-    // Barrier: callers may mutate ctx_ (refine), serialize state
-    // (checkpoint), or destroy the executor after Run returns; none of
-    // that may race an in-flight scan. Finished prefetches stay cached
-    // for the next Run.
-    pool_->WaitIdle();
-    Em().pool_queue_depth->Set(0);
+  if (const auto it = collected_.find(w.seq); it != collected_.end()) {
+    RangeScanBatch rows = std::move(it->second);
+    collected_.erase(it);
+    Em().prefetch_hits->Add();
+    return rows;
   }
-  if (run_error != nullptr) std::rethrow_exception(run_error);
-  return reason;
+  // Take the next B - 1 windows that still need rows in pop order, then
+  // push every popped window back: ExecWindowLess is a strict total
+  // order, so the queue pops in the same order afterwards.
+  std::vector<ExecWindow> batch = {w};
+  std::vector<ExecWindow> popped;
+  while (batch.size() < collect_batch_ && !queue_.empty()) {
+    popped.push_back(queue_.top());
+    queue_.pop();
+    const ExecWindow& next = popped.back();
+    if (collected_.count(next.seq) == 0 && !IsStale(next)) {
+      batch.push_back(next);
+    }
+  }
+  for (ExecWindow& p : popped) queue_.push(std::move(p));
+  std::vector<CollectProbe> probes;
+  probes.reserve(batch.size());
+  for (const ExecWindow& b : batch) probes.push_back(WindowProbe(ctx_, b));
+  std::vector<RangeScanBatch> rows = ctx_.store->CollectMany(probes);
+  for (size_t i = 1; i < batch.size(); ++i) {
+    collected_.emplace(batch[i].seq, std::move(rows[i]));
+  }
+  return std::move(rows[0]);
 }
 
 StopReason Executor::RunLoop(const RunLimits& limits) {
@@ -324,39 +260,12 @@ StopReason Executor::RunLoop(const RunLimits& limits) {
     const ExecWindow w = queue_.top();
     queue_.pop();
     // Stale windows: the frontier may have been excluded or pruned since
-    // this window was enqueued. Checked before touching the prefetch so a
-    // stale window never blocks on its in-flight scan.
-    const bool stale =
-        excluded_.count(w.frontier) != 0 ||
-        (ctx_.spec.hop_limit >= 0 && graph_.HasNode(w.frontier) &&
-         graph_.GetNode(w.frontier).hop + 1 > ctx_.spec.hop_limit);
-    if (stale) {
+    // this window was enqueued.
+    if (IsStale(w)) {
       // "stops exploring the path and switches to other shorter paths".
       Em().stale_windows->Add();
-      prefetch_.erase(w.seq);
+      collected_.erase(w.seq);
       continue;
-    }
-
-    std::optional<RangeScanBatch> prefetched;
-    if (pool_ != nullptr) {
-      if (const auto it = prefetch_.find(w.seq); it != prefetch_.end()) {
-        const std::shared_ptr<Prefetch> slot = std::move(it->second);
-        prefetch_.erase(it);
-        Prefetch* raw = slot.get();
-        MutexLock lock(&raw->mu);
-        if (raw->ready) {
-          Em().prefetch_hits->Add();
-        } else {
-          Em().prefetch_waits->Add();
-          while (!raw->ready) raw->cv.Wait(lock);
-        }
-        if (raw->error != nullptr) std::rethrow_exception(raw->error);
-        prefetched = std::move(raw->batch);
-      } else {
-        // Submission failed or never happened; the window is collected
-        // inline below (identical results, just no overlap).
-        Em().prefetch_misses->Add();
-      }
     }
 
     size_t batch_edges = 0;
@@ -364,9 +273,8 @@ StopReason Executor::RunLoop(const RunLimits& limits) {
     DurationMicros scan_cost = 0;
     ScanProbeStats probe;
     const TimeMicros wall0 = MonotonicNowMicros();
-    ProcessWindow(prefetched.has_value() ? std::move(*prefetched)
-                                         : CollectWindow(ctx_, w),
-                  &batch_edges, &batch_nodes, &scan_cost, &probe);
+    ProcessWindow(TakeRows(w), &batch_edges, &batch_nodes, &scan_cost,
+                  &probe);
     // Attribution happens on the coordinator with exactly the cost the
     // window charged, so the profile's axes reconcile with the engine's
     // own totals (wall micros are the sole nondeterministic field).
@@ -378,9 +286,6 @@ StopReason Executor::RunLoop(const RunLimits& limits) {
     Em().queue_depth->Set(static_cast<int64_t>(queue_.size()));
     obs::Tracer::Global().RecordCounter(obs::names::kExecutorQueueDepth,
                                         static_cast<int64_t>(queue_.size()));
-    if (pool_ != nullptr) {
-      Em().pool_queue_depth->Set(static_cast<int64_t>(pool_->pending()));
-    }
     if (batch_edges > 0) {
       UpdateBatch batch;
       batch.sim_time = clock_->NowMicros();
@@ -423,11 +328,6 @@ void Executor::RebuildQueue() {
 
 void Executor::ApplyRefinedContext(TrackingContext new_ctx,
                                    const RefineDelta& delta) {
-  if (pool_ != nullptr) pool_->WaitIdle();  // workers read the old ctx_
-  // Cached prefetches cover the windows as they were queued, and
-  // RebuildQueue below may clamp or drop them; the Run-start top-up pass
-  // resubmits under the new context.
-  InvalidatePrefetches();
   ctx_ = std::move(new_ctx);
   maintainer_.UpdateContext(&ctx_);
 

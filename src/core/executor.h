@@ -2,7 +2,6 @@
 #define APTRACE_CORE_EXECUTOR_H_
 
 #include <iosfwd>
-#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -13,8 +12,6 @@
 #include "core/query_profile.h"
 
 namespace aptrace {
-
-class WorkerPool;  // util/worker_pool.h
 
 /// What the Refiner decided changed between two compatible specs (same
 /// starting point, same time/host range). See core/refiner.h.
@@ -58,16 +55,18 @@ struct CheckpointDurableMark {
 /// decisions, graph and maintainer mutation, coverage watermarks,
 /// update-log batches, and all simulated-cost charging.
 ///
-/// Parallel scan pipeline (ctx.scan_threads > 1): the windows sitting in
-/// the priority queue are *speculatively prefetched* by a WorkerPool —
-/// each worker only runs the pure, read-only row collection for one
-/// window. The coordinator pops windows in the exact sequential priority
-/// order and replays each prefetched batch exactly as it replays one it
-/// collected itself. The produced graph, update log, stats, and stop
-/// reason are therefore bit-identical to scan_threads == 1 for any input
-/// (tests/executor_differential_test.cc enforces this). The prefetch pays
-/// only when a scan crosses a network (a remote shard fleet); in process
-/// the sequential path is faster (docs/parallel_execution.md).
+/// Batched collection (docs/parallel_execution.md): the store's
+/// capabilities().collect_batch is B. At B = 1 (every in-process
+/// backend) the popped window is collected inline. At B > 1 (a remote
+/// shard fleet, where each collect call is a round trip) a popped window
+/// without rows is collected in one EventStore::CollectMany together
+/// with the next B - 1 highest-priority queued windows that have no rows
+/// and are not stale; their rows wait in a per-Run cache keyed by seq.
+/// Collection is pure and the store does not change inside Run, and
+/// windows are still popped and replayed in the exact Algorithm 1 order,
+/// so the graph, update log, stats, and stop reason are bit-identical
+/// for any B (tests/executor_differential_test.cc enforces this). The
+/// executor owns no thread.
 class Executor : public BacktrackEngine {
  public:
   /// `num_windows_k` is the user-configurable window count k (the paper's
@@ -77,15 +76,8 @@ class Executor : public BacktrackEngine {
   /// clips re-enqueued windows against the per-object scan watermark;
   /// false re-scans overlapping history (the ablation in
   /// bench_ablation_dedup) — results are identical, work is not.
-  ///
-  /// The scan thread count comes from ctx.scan_threads (0 = hardware
-  /// concurrency, clamped to WorkerPool::kMaxThreads).
   Executor(TrackingContext ctx, Clock* clock, int num_windows_k = 8,
            bool temporal_priority = true, bool coverage_dedup = true);
-
-  /// Joins the scan worker pool (in-flight prefetches finish, pending
-  /// ones are discarded) before any member a worker reads is destroyed.
-  ~Executor() override;
 
   StopReason Run(const RunLimits& limits) override;
   bool Exhausted() const override { return bootstrapped_ && queue_.empty(); }
@@ -100,8 +92,6 @@ class Executor : public BacktrackEngine {
   int num_windows_k() const { return k_; }
   size_t queue_size() const { return queue_.size(); }
 
-  /// Effective scan worker thread count (1 = sequential path).
-  int scan_threads() const { return scan_threads_; }
   /// Total simulated cost of the scans this executor charged
   /// (deterministic per input).
   DurationMicros scan_cost_total() const { return scan_cost_total_; }
@@ -144,10 +134,6 @@ class Executor : public BacktrackEngine {
   void ApplyRefinedContext(TrackingContext new_ctx, const RefineDelta& delta);
 
  private:
-  /// One window's speculative row collection, filled by a worker
-  /// thread. Defined in executor.cc.
-  struct Prefetch;
-
   void Bootstrap();
   /// Applies one window's collected rows to the graph: replays `batch`
   /// through the host/where filter and the graph/maintainer updates.
@@ -163,14 +149,13 @@ class Executor : public BacktrackEngine {
   /// state/boost priorities from the current graph.
   void RebuildQueue();
 
-  // Parallel pipeline plumbing (all no-ops when no pool is active).
-  void StartPoolIfNeeded();
-  void SubmitPrefetch(const ExecWindow& w);
-  /// Submits prefetches for queued windows that lack one — the top-up
-  /// pass at Run start that covers checkpoint restores and rebuilt queues.
-  void SubmitMissingPrefetches();
-  /// Drops every cached/in-flight prefetch (context or ranges changed).
-  void InvalidatePrefetches();
+  /// The frontier was excluded or has outgrown the hop limit since `w`
+  /// was enqueued: the window is dropped unscanned.
+  bool IsStale(const ExecWindow& w) const;
+  /// The popped window `w`'s rows: collected inline at B = 1; at B > 1
+  /// taken from the per-Run cache, or collected in one CollectMany with
+  /// the next B - 1 queued windows that have no rows and are not stale.
+  RangeScanBatch TakeRows(const ExecWindow& w);
   StopReason RunLoop(const RunLimits& limits);
 
   TrackingContext ctx_;
@@ -189,13 +174,14 @@ class Executor : public BacktrackEngine {
   uint64_t seq_ = 0;
   bool bootstrapped_ = false;
 
-  int scan_threads_ = 1;
+  /// Windows collected per CollectMany (the store's collect_batch).
+  size_t collect_batch_ = 1;
   DurationMicros scan_cost_total_ = 0;
   QueryProfile profile_;
-  /// Window seq -> its speculative scan (coordinator-only map; workers
-  /// only touch the entry their task captured).
-  std::unordered_map<uint64_t, std::shared_ptr<Prefetch>> prefetch_;
-  std::unique_ptr<WorkerPool> pool_;  // null on the sequential path
+  /// Window seq -> rows collected by an earlier CollectMany of this Run.
+  /// Emptied whenever Run returns, so no row outlives a quantum, an
+  /// ingest, a refine, or a checkpoint.
+  std::unordered_map<uint64_t, RangeScanBatch> collected_;
 };
 
 }  // namespace aptrace

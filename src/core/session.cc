@@ -60,7 +60,6 @@ void Session::RefreshSnapshot() {
     snap.direction = engine_->context().spec.direction;
     snap.start_node = engine_->context().start_node;
     if (executor_ != nullptr) {
-      snap.scan_threads = executor_->scan_threads();
       snap.queue_size = executor_->queue_size();
     }
   }
@@ -94,7 +93,6 @@ Status Session::StartWithSpec(bdl::TrackingSpec spec,
     return Status::Internal(e.what());
   }
   if (!ctx.ok()) return ctx.status();
-  ctx.value().scan_threads = options_.scan_threads;
   start_override_ = start_override;
   if (options_.use_baseline) {
     engine_ = std::make_unique<BaselineExecutor>(std::move(ctx.value()),
@@ -158,7 +156,6 @@ Status Session::UpdateScript(std::string_view bdl_text) {
     return Status::Internal(e.what());
   }
   if (!ctx.ok()) return ctx.status();
-  ctx.value().scan_threads = options_.scan_threads;
 
   const RefineResult refine = Refiner::Classify(engine_->context(),
                                                 ctx.value());

@@ -26,11 +26,10 @@ struct SessionOptions {
   /// Nearest-first window ordering (Algorithm 1); false = FIFO ablation.
   bool temporal_priority = true;
 
-  /// Scan worker threads for the responsive Executor: 1 = sequential
-  /// path, 0 = hardware concurrency, N > 1 = parallel prefetch pipeline
-  /// (pays only over a remote shard fleet). Results are bit-identical
-  /// regardless of the value (see docs/parallel_execution.md). Ignored by
-  /// the baseline engine.
+  /// No effect: the Executor owns no scan threads. It collects windows in
+  /// batches of the store's capabilities().collect_batch instead (see
+  /// docs/parallel_execution.md). Kept only so existing callers that
+  /// still assign it compile.
   int scan_threads = 1;
 };
 
@@ -57,7 +56,6 @@ struct SessionSnapshot {
   TimeMicros run_start = 0;
   /// Session clock at the refresh instant (simulated micros).
   TimeMicros sim_now = 0;
-  int scan_threads = 1;
   size_t queue_size = 0;
   bdl::TrackDirection direction = bdl::TrackDirection::kBackward;
   ObjectId start_node = kInvalidObjectId;

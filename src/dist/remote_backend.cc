@@ -1,5 +1,6 @@
 #include "dist/remote_backend.h"
 
+#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -8,6 +9,21 @@
 #include "obs/json_dict.h"
 
 namespace aptrace::dist {
+
+namespace {
+
+/// The base64 payload `field` of a shard reply, decoded. Throws
+/// DistError(DST-E003) when it is not valid base64.
+std::string DecodeReplyField(const service::JsonValue& resp,
+                             const char* field) {
+  auto bytes = Base64Decode(resp.GetString(field));
+  if (!bytes.ok()) {
+    throw DistError(kDistErrProtocol, bytes.status().message());
+  }
+  return std::move(bytes).value();
+}
+
+}  // namespace
 
 RemoteShardBackend::RemoteShardBackend(std::shared_ptr<ShardClient> client,
                                        StorageBackendKind kind,
@@ -23,11 +39,13 @@ const BackendCapabilities& RemoteShardBackend::capabilities() const {
       .streaming_append = true,
       .zone_map_pruning = false,
       .probe_unit = "time partition",
+      .collect_batch = kCollectBatch,
   };
   static const BackendCapabilities kColumnarCaps = {
       .streaming_append = true,
       .zone_map_pruning = true,
       .probe_unit = "column segment",
+      .collect_batch = kCollectBatch,
   };
   return kind() == StorageBackendKind::kColumnar ? kColumnarCaps : kRowCaps;
 }
@@ -85,11 +103,7 @@ Event RemoteShardBackend::Get(EventId id) const {
   fields.Add("lids", Base64Encode(EncodeU64s({id})));
   fields.Add("count", uint64_t{1});
   const service::JsonValue resp = client_->Call("shard.fetch", fields);
-  auto bytes = Base64Decode(resp.GetString("rows"));
-  if (!bytes.ok()) {
-    throw DistError(kDistErrProtocol, bytes.status().message());
-  }
-  auto rows = DecodeRows(bytes.value());
+  auto rows = DecodeRows(DecodeReplyField(resp, "rows"));
   if (!rows.ok() || rows.value().size() != 1) {
     throw DistError(kDistErrProtocol,
                     "shard.fetch returned " +
@@ -99,51 +113,78 @@ Event RemoteShardBackend::Get(EventId id) const {
   return rows.value()[0];
 }
 
-RangeScanBatch RemoteShardBackend::CollectRpc(const char* op, ObjectId key,
-                                              TimeMicros begin,
-                                              TimeMicros end) const {
-  obs::JsonDict fields;
-  if (key != kInvalidObjectId) {
-    fields.Add("key", static_cast<uint64_t>(key));
+std::vector<RangeScanBatch> RemoteShardBackend::CollectMany(
+    std::span<const CollectProbe> probes) const {
+  std::vector<RangeScanBatch> out;
+  out.reserve(probes.size());
+  for (size_t off = 0; off < probes.size(); off += kMaxCollectProbes) {
+    const std::span<const CollectProbe> chunk = probes.subspan(
+        off, std::min(kMaxCollectProbes, probes.size() - off));
+    obs::JsonDict fields;
+    fields.Add("probes", Base64Encode(EncodeProbes(chunk)));
+    fields.Add("count", static_cast<uint64_t>(chunk.size()));
+    const service::JsonValue resp =
+        client_->Call("shard.collect_many", fields);
+    auto rows = DecodeRows(DecodeReplyField(resp, "rows"));
+    if (!rows.ok()) {
+      throw DistError(kDistErrProtocol, rows.status().message());
+    }
+    if (rows.value().size() != resp.GetUint("count")) {
+      throw DistError(kDistErrProtocol,
+                      "collect payload row count disagrees with the "
+                      "declared count");
+    }
+    auto counters = DecodeU64s(DecodeReplyField(resp, "probes"));
+    if (!counters.ok() ||
+        counters.value().size() != chunk.size() * kProbeCounters) {
+      throw DistError(kDistErrProtocol,
+                      "collect reply does not carry one counter record "
+                      "per probe");
+    }
+    // Split the rows by the per-probe counts, which must cover them
+    // exactly; each count is checked against the rows left, so a hostile
+    // count can neither overflow a sum nor index past the rows.
+    const std::vector<uint64_t>& c = counters.value();
+    const std::vector<Event>& all = rows.value();
+    size_t taken = 0;
+    for (size_t i = 0; i < chunk.size(); ++i) {
+      const uint64_t* rec = &c[i * kProbeCounters];
+      if (rec[0] > all.size() - taken) break;
+      RangeScanBatch batch;
+      const auto first = all.begin() + static_cast<std::ptrdiff_t>(taken);
+      taken += rec[0];
+      batch.rows.assign(first,
+                        all.begin() + static_cast<std::ptrdiff_t>(taken));
+      batch.partitions_probed = rec[1];
+      batch.partitions_seeked = rec[2];
+      batch.segments_pruned = rec[3];
+      out.push_back(std::move(batch));
+    }
+    if (out.size() != off + chunk.size() || taken != all.size()) {
+      throw DistError(kDistErrProtocol,
+                      "collect reply's per-probe row counts do not sum to "
+                      "its " + std::to_string(all.size()) + " rows");
+    }
   }
-  fields.Add("begin", static_cast<int64_t>(begin));
-  fields.Add("end", static_cast<int64_t>(end));
-  const service::JsonValue resp = client_->Call(op, fields);
-
-  auto bytes = Base64Decode(resp.GetString("rows"));
-  if (!bytes.ok()) {
-    throw DistError(kDistErrProtocol, bytes.status().message());
-  }
-  auto rows = DecodeRows(bytes.value());
-  if (!rows.ok()) {
-    throw DistError(kDistErrProtocol, rows.status().message());
-  }
-  if (rows.value().size() != resp.GetUint("count")) {
-    throw DistError(kDistErrProtocol,
-                    "collect payload row count disagrees with the "
-                    "declared count");
-  }
-  RangeScanBatch batch;
-  batch.rows = std::move(rows).value();
-  batch.partitions_probed = resp.GetUint("probed");
-  batch.partitions_seeked = resp.GetUint("seeked");
-  batch.segments_pruned = resp.GetUint("pruned");
-  return batch;
+  return out;
 }
 
 RangeScanBatch RemoteShardBackend::CollectDest(ObjectId dest, TimeMicros begin,
                                                TimeMicros end) const {
-  return CollectRpc("shard.collect_dest", dest, begin, end);
+  const CollectProbe probe{ProbeKind::kDest, dest, begin, end};
+  return std::move(CollectMany({&probe, 1})[0]);
 }
 
 RangeScanBatch RemoteShardBackend::CollectSrc(ObjectId src, TimeMicros begin,
                                               TimeMicros end) const {
-  return CollectRpc("shard.collect_src", src, begin, end);
+  const CollectProbe probe{ProbeKind::kSrc, src, begin, end};
+  return std::move(CollectMany({&probe, 1})[0]);
 }
 
 RangeScanBatch RemoteShardBackend::CollectRange(TimeMicros begin,
                                                 TimeMicros end) const {
-  return CollectRpc("shard.collect_range", kInvalidObjectId, begin, end);
+  const CollectProbe probe{ProbeKind::kRange, kInvalidObjectId, begin, end};
+  return std::move(CollectMany({&probe, 1})[0]);
 }
 
 bool RemoteShardBackend::HasIncomingWrite(ObjectId object, TimeMicros begin,
@@ -163,11 +204,7 @@ std::vector<ObjectId> RemoteShardBackend::FlowDestsOf(ObjectId src,
   fields.Add("begin", static_cast<int64_t>(begin));
   fields.Add("end", static_cast<int64_t>(end));
   const service::JsonValue resp = client_->Call("shard.flow_dests", fields);
-  auto bytes = Base64Decode(resp.GetString("ids"));
-  if (!bytes.ok()) {
-    throw DistError(kDistErrProtocol, bytes.status().message());
-  }
-  auto ids = DecodeU64s(bytes.value());
+  auto ids = DecodeU64s(DecodeReplyField(resp, "ids"));
   if (!ids.ok()) {
     throw DistError(kDistErrProtocol, ids.status().message());
   }

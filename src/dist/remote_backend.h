@@ -32,9 +32,14 @@ namespace aptrace::dist {
 /// immediately — the daemon must see the row before the next quantum's
 /// queries do.
 ///
-/// A Collect* response carries whole rows, so no scan calls Get() and
-/// nothing is cached. Get() is a point lookup (session start, checkpoint
-/// restore, trace export): one shard.fetch round trip per call.
+/// Every collect is one shard.collect_many round trip: CollectMany sends
+/// its whole probe list in one request (split at kMaxCollectProbes), and
+/// the single-window Collect* are its one-probe case. The capability
+/// block advertises collect_batch = kCollectBatch, so the Executor hands
+/// this backend B windows per call. A reply carries whole rows, so no
+/// scan calls Get() and nothing is cached. Get() is a point lookup
+/// (session start, checkpoint restore, trace export): one shard.fetch
+/// round trip per call.
 ///
 /// Thread-safety: matches the read-after-build contract. Collect*/Get/
 /// HasIncomingWrite/FlowDestsOf are safe concurrently post-seal (the
@@ -48,6 +53,9 @@ class RemoteShardBackend final : public StorageBackend {
  public:
   /// Rows buffered per shard.append batch during bulk load.
   static constexpr size_t kAppendBatch = 512;
+
+  /// Windows the Executor collects per CollectMany over a fleet (B).
+  static constexpr size_t kCollectBatch = 64;
 
   RemoteShardBackend(std::shared_ptr<ShardClient> client,
                      StorageBackendKind kind, CostModel cost_model);
@@ -65,6 +73,8 @@ class RemoteShardBackend final : public StorageBackend {
   RangeScanBatch CollectSrc(ObjectId src, TimeMicros begin,
                             TimeMicros end) const override;
   RangeScanBatch CollectRange(TimeMicros begin, TimeMicros end) const override;
+  std::vector<RangeScanBatch> CollectMany(
+      std::span<const CollectProbe> probes) const override;
 
   bool HasIncomingWrite(ObjectId object, TimeMicros begin,
                         TimeMicros end) const override;
@@ -79,10 +89,6 @@ class RemoteShardBackend final : public StorageBackend {
   const ShardClient& client() const { return *client_; }
 
  private:
-  /// Shared RPC + decode behind the three Collect* ops.
-  RangeScanBatch CollectRpc(const char* op, ObjectId key, TimeMicros begin,
-                            TimeMicros end) const;
-
   /// Sends the buffered pre-seal rows as one shard.append.
   void FlushAppends();
 

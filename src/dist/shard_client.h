@@ -65,9 +65,9 @@ struct ShardClientOptions {
 /// answered ok:false.
 ///
 /// Thread-safety: any number of threads may Call() concurrently — the
-/// executor's prefetch workers fan Collect* RPCs out in parallel.
-/// Connections live in a mutex-guarded free list; each Call checks one
-/// out (dialing if none is idle) and returns it on success.
+/// sharded store's fan-out threads and concurrent sessions over one
+/// store do. Connections live in a mutex-guarded free list; each Call
+/// checks one out (dialing if none is idle) and returns it on success.
 class ShardClient {
  public:
   ShardClient(ShardEndpoint endpoint, uint32_t shard,

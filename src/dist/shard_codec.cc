@@ -1,6 +1,7 @@
 #include "dist/shard_codec.h"
 
 #include <cstring>
+#include <string>
 
 namespace aptrace::dist {
 
@@ -176,6 +177,40 @@ Result<std::vector<Event>> DecodeRows(std::string_view bytes) {
     Event e = GetEvent(p + off + 8);
     e.id = GetU64(p + off);
     out.push_back(e);
+  }
+  return out;
+}
+
+std::string EncodeProbes(std::span<const CollectProbe> probes) {
+  std::string out;
+  out.reserve(probes.size() * kShardProbeBytes);
+  for (const CollectProbe& p : probes) {
+    out.push_back(static_cast<char>(p.kind));
+    PutU64(&out, p.key);
+    PutU64(&out, static_cast<uint64_t>(p.begin));
+    PutU64(&out, static_cast<uint64_t>(p.end));
+  }
+  return out;
+}
+
+Result<std::vector<CollectProbe>> DecodeProbes(std::string_view bytes) {
+  if (bytes.size() % kShardProbeBytes != 0) {
+    return Status::InvalidArgument("probe payload not a whole probe count");
+  }
+  std::vector<CollectProbe> out;
+  out.reserve(bytes.size() / kShardProbeBytes);
+  const auto* p = reinterpret_cast<const unsigned char*>(bytes.data());
+  for (size_t off = 0; off < bytes.size(); off += kShardProbeBytes) {
+    if (p[off] > static_cast<unsigned char>(ProbeKind::kRange)) {
+      return Status::InvalidArgument("unknown probe kind " +
+                                     std::to_string(p[off]));
+    }
+    CollectProbe probe;
+    probe.kind = static_cast<ProbeKind>(p[off]);
+    probe.key = GetU64(p + off + 1);
+    probe.begin = static_cast<TimeMicros>(GetU64(p + off + 9));
+    probe.end = static_cast<TimeMicros>(GetU64(p + off + 17));
+    out.push_back(probe);
   }
   return out;
 }

@@ -2,11 +2,13 @@
 #define APTRACE_DIST_SHARD_CODEC_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "event/event.h"
+#include "storage/storage_backend.h"
 #include "util/status.h"
 
 namespace aptrace::dist {
@@ -26,6 +28,8 @@ namespace aptrace::dist {
 ///               supplies (append payloads let the shard assign dense
 ///               local ids; row payloads carry the id alongside).
 ///   row         44 bytes — u64 local id + the 36-byte event.
+///   probe       25 bytes — u8 kind (0 dest, 1 src, 2 range), u64 key,
+///               i64 begin, i64 end (shard.collect_many requests).
 ///   id list     8 bytes per u64.
 ///
 /// Every decoder validates length divisibility and the declared count and
@@ -34,6 +38,15 @@ namespace aptrace::dist {
 /// Bytes of one encoded event / one encoded (lid, event) row.
 inline constexpr size_t kShardEventBytes = 36;
 inline constexpr size_t kShardRowBytes = kShardEventBytes + 8;
+inline constexpr size_t kShardProbeBytes = 25;
+
+/// u64 counters per probe in a shard.collect_many reply, packed as an id
+/// list: rows, probed, seeked, pruned.
+inline constexpr size_t kProbeCounters = 4;
+
+/// Most probes one shard.collect_many request may carry; the daemon
+/// refuses more (DST-E003) and RemoteShardBackend splits longer lists.
+inline constexpr size_t kMaxCollectProbes = 1024;
 
 /// Standard base64 (RFC 4648, with padding). Decode rejects any input
 /// that is not a whole number of valid groups.
@@ -48,6 +61,11 @@ Result<std::vector<Event>> DecodeEvents(std::string_view bytes);
 /// their local id in Event::id.
 std::string EncodeRows(const std::vector<Event>& rows);
 Result<std::vector<Event>> DecodeRows(std::string_view bytes);
+
+/// Collect probes (shard.collect_many requests). Decode rejects a
+/// payload that is not whole probe records or names an unknown kind.
+std::string EncodeProbes(std::span<const CollectProbe> probes);
+Result<std::vector<CollectProbe>> DecodeProbes(std::string_view bytes);
 
 /// Packed u64 lists (lids in fetch requests, object ids in flow_dests
 /// responses).

@@ -1,5 +1,6 @@
 #include "dist/shard_service.h"
 
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -46,6 +47,25 @@ std::string DecodePayload(const service::JsonValue& req, const char* field,
                     "payload length disagrees with declared count");
   }
   return std::move(bytes).value();
+}
+
+/// Decodes a shard.collect_many request's probe list. Throws
+/// DistError(DST-E003) on a list over the cap, a payload that is not
+/// whole probe records, or an unknown probe kind.
+std::vector<CollectProbe> DecodeProbeList(const service::JsonValue& req) {
+  if (req.GetUint("count") > kMaxCollectProbes) {
+    throw DistError(kDistErrProtocol,
+                    "collect_many carries " +
+                        std::to_string(req.GetUint("count")) +
+                        " probes, over the cap of " +
+                        std::to_string(kMaxCollectProbes));
+  }
+  auto probes =
+      DecodeProbes(DecodePayload(req, "probes", kShardProbeBytes));
+  if (!probes.ok()) {
+    throw DistError(kDistErrProtocol, probes.status().message());
+  }
+  return std::move(probes).value();
 }
 
 void AddBatchCounters(obs::JsonDict* d, const RangeScanBatch& batch) {
@@ -123,20 +143,43 @@ std::string ShardService::HandleLine(const std::string& line,
     }
 
     if (op == "shard.collect_dest" || op == "shard.collect_src" ||
-        op == "shard.collect_range") {
-      const TimeMicros begin = req.GetInt("begin");
-      const TimeMicros end = req.GetInt("end");
-      RangeScanBatch batch;
-      if (op == "shard.collect_range") {
-        batch = backend_->CollectRange(begin, end);
-      } else if (op == "shard.collect_src") {
-        batch = backend_->CollectSrc(req.GetUint("key"), begin, end);
+        op == "shard.collect_range" || op == "shard.collect_many") {
+      const bool many = op == "shard.collect_many";
+      std::vector<CollectProbe> probes;
+      if (many) {
+        probes = DecodeProbeList(req);
       } else {
-        batch = backend_->CollectDest(req.GetUint("key"), begin, end);
+        CollectProbe probe;
+        probe.kind = op == "shard.collect_range" ? ProbeKind::kRange
+                     : op == "shard.collect_src" ? ProbeKind::kSrc
+                                                 : ProbeKind::kDest;
+        if (probe.kind != ProbeKind::kRange) probe.key = req.GetUint("key");
+        probe.begin = req.GetInt("begin");
+        probe.end = req.GetInt("end");
+        probes.push_back(probe);
       }
+      const std::vector<RangeScanBatch> batches =
+          backend_->CollectMany(probes);
       // The backend's rows already carry this shard's local ids.
-      d.Add("rows", Base64Encode(EncodeRows(batch.rows)));
-      AddBatchCounters(&d, batch);
+      if (!many) {
+        d.Add("rows", Base64Encode(EncodeRows(batches[0].rows)));
+        AddBatchCounters(&d, batches[0]);
+        return d.Str();
+      }
+      std::string rows;
+      std::vector<uint64_t> counters;
+      counters.reserve(batches.size() * kProbeCounters);
+      uint64_t total = 0;
+      for (const RangeScanBatch& b : batches) {
+        rows += EncodeRows(b.rows);
+        total += b.rows.size();
+        counters.insert(counters.end(),
+                        {b.rows.size(), b.partitions_probed,
+                         b.partitions_seeked, b.segments_pruned});
+      }
+      d.Add("rows", Base64Encode(rows));
+      d.Add("count", total);
+      d.Add("probes", Base64Encode(EncodeU64s(counters)));
       return d.Str();
     }
 

@@ -33,6 +33,14 @@ inline constexpr char kShardProto[] = "aptrace-shard v1";
 ///   shard.collect_dest {key, begin, end}   -> {rows, count, probed,
 ///   shard.collect_src  {key, begin, end}       seeked, pruned}
 ///   shard.collect_range {begin, end}       -> (same shape)
+///   shard.collect_many {probes, count}     -> {rows, count, probes}
+///       `probes` in the request: `count` packed probe records (kind,
+///       key, begin, end; at most kMaxCollectProbes). In the reply:
+///       `rows` is every probe's rows concatenated in probe order,
+///       `count` their total, and `probes` packed u64 quadruples
+///       (rows, probed, seeked, pruned), one per probe. The three
+///       single-window ops above are the one-probe case of the same
+///       handler.
 ///   shard.has_incoming_write {key, begin, end} -> {found}
 ///   shard.flow_dests {key, begin, end}     -> {ids, count}
 ///   shard.fetch    {lids, count}           -> {rows, count}

@@ -100,22 +100,9 @@ MetricsRegistry::MetricsRegistry(bool preregister_engine) {
   FindOrCreateCounter(names::kDedupWindowClips,
                       "Window enqueues clipped against the per-object scan "
                       "coverage watermark");
-  FindOrCreateGauge(names::kExecutorScanThreads,
-                    "Scan worker threads of the responsive engine (1 = "
-                    "sequential path)");
   FindOrCreateCounter(names::kExecutorPrefetchHits,
-                      "Windows whose prefetched scan was ready when popped");
-  FindOrCreateCounter(names::kExecutorPrefetchWaits,
-                      "Windows popped while their prefetch was in flight "
-                      "(coordinator blocked)");
-  FindOrCreateCounter(names::kExecutorPrefetchMisses,
-                      "Windows scanned inline because no prefetch was "
-                      "submitted");
-  FindOrCreateGauge(names::kExecutorPoolQueueDepth,
-                    "Prefetch tasks pending in the scan worker pool");
-  FindOrCreateHistogram(names::kExecutorWorkerScanLatency,
-                        "Per-worker wall time of one prefetched range scan "
-                        "(seconds)");
+                      "Windows whose rows an earlier batched collect of "
+                      "the same run had already collected");
   FindOrCreateCounter(names::kExecutorScanCostMicros,
                       "Total simulated scan cost charged by the executor "
                       "(micros)");

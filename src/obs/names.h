@@ -26,19 +26,10 @@ inline constexpr char kExecutorQueueRebuilds[] =
 inline constexpr char kExecutorQueueDepth[] = "aptrace_executor_queue_depth";
 inline constexpr char kDedupWindowClips[] = "aptrace_dedup_window_clips_total";
 
-// Parallel scan pipeline (core/executor.cc + util/worker_pool.cc).
-inline constexpr char kExecutorScanThreads[] =
-    "aptrace_executor_scan_threads";
+// Batched collection (core/executor.cc): windows whose rows an earlier
+// CollectMany of the same Run had already collected.
 inline constexpr char kExecutorPrefetchHits[] =
     "aptrace_executor_prefetch_hits_total";
-inline constexpr char kExecutorPrefetchWaits[] =
-    "aptrace_executor_prefetch_waits_total";
-inline constexpr char kExecutorPrefetchMisses[] =
-    "aptrace_executor_prefetch_misses_total";
-inline constexpr char kExecutorPoolQueueDepth[] =
-    "aptrace_executor_pool_queue_depth";
-inline constexpr char kExecutorWorkerScanLatency[] =
-    "aptrace_executor_worker_scan_latency";
 inline constexpr char kExecutorScanCostMicros[] =
     "aptrace_executor_scan_cost_micros_total";
 

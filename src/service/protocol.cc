@@ -74,7 +74,6 @@ obs::JsonDict SnapshotDict(const SessionSnapshot& snap) {
   d.Add("objects_excluded", snap.objects_excluded);
   d.Add("run_start", static_cast<int64_t>(snap.run_start));
   d.Add("sim_now", static_cast<int64_t>(snap.sim_now));
-  d.Add("scan_threads", static_cast<int64_t>(snap.scan_threads));
   d.Add("queue_size", static_cast<uint64_t>(snap.queue_size));
   d.Add("direction", bdl::TrackDirectionName(snap.direction));
   return d;

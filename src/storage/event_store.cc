@@ -83,6 +83,12 @@ RangeScanBatch EventStore::CollectRange(TimeMicros begin,
   return backend_->CollectRange(begin, end);
 }
 
+std::vector<RangeScanBatch> EventStore::CollectMany(
+    std::span<const CollectProbe> probes) const {
+  APTRACE_SPAN("store/collect");
+  return backend_->CollectMany(probes);
+}
+
 size_t EventStore::ReplayScan(const RangeScanBatch& batch, Clock* clock,
                               const std::function<void(const Event&)>& fn,
                               const RowFilter& filter,

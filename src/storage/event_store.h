@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "event/catalog.h"
@@ -56,8 +57,8 @@ struct EventStoreOptions {
   /// for in-process shards, where a probe is a memory-bound index walk.
   /// N > 0 gives the store N dedicated fan-out threads so remote probes
   /// overlap their network round-trips and one slow daemon does not
-  /// serialize the rest. Orthogonal to the Executor's scan pool: fan-out
-  /// threads run inside a single Collect call.
+  /// serialize the rest. Fan-out threads run inside a single Collect
+  /// call.
   size_t dist_fanout_threads = 0;
 };
 
@@ -74,8 +75,7 @@ struct EventStoreOptions {
 ///
 /// Thread-safety: after Seal(), any number of threads may query
 /// concurrently; see the read-after-build contract on StorageBackend.
-/// CollectDest/CollectSrc touch no counters at all, so the Executor's
-/// scan workers can prefetch row batches with zero cross-thread traffic.
+/// The Collect* calls touch no counters at all.
 ///
 /// The core query is ScanDest: all events whose data-flow *destination* is
 /// a given object within [begin, end). This is exactly the query backward
@@ -166,6 +166,13 @@ class EventStore {
   /// Pure row collection for ScanRange (same contract as CollectDest).
   /// Holds every row in range in memory at once.
   RangeScanBatch CollectRange(TimeMicros begin, TimeMicros end) const;
+
+  /// Batched pure row collection: one batch per probe, each what the
+  /// matching Collect* returns (StorageBackend::CollectMany). The
+  /// Executor collects capabilities().collect_batch windows per call.
+  /// Records one `store/collect` span for the whole list.
+  std::vector<RangeScanBatch> CollectMany(
+      std::span<const CollectProbe> probes) const;
 
   /// Second half of a split scan: iterates a collected batch through
   /// `filter`/`fn` and charges clock/stats/metrics exactly as the fused

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <string>
 #include <utility>
 
 #include "dist/dist_error.h"
@@ -128,59 +129,79 @@ Event ShardedStore::Get(EventId id) const {
   return e;
 }
 
-RangeScanBatch ShardedStore::Gather(bool by_src, ObjectId key, uint64_t mask,
-                                    HostId home, TimeMicros begin,
-                                    TimeMicros end) const {
+std::vector<RangeScanBatch> ShardedStore::CollectMany(
+    std::span<const CollectProbe> probes) const {
   APTRACE_SPAN("store/shard_scan");
+  const uint64_t all_shards = shards_.size() == kMaxStoreShards
+                                  ? ~uint64_t{0}
+                                  : (uint64_t{1} << shards_.size()) - 1;
 
-  std::vector<uint32_t> probe_shards;
-  for (uint32_t s = 0; s < shards_.size(); ++s) {
-    if (mask & (uint64_t{1} << s)) probe_shards.push_back(s);
-  }
-
-  // Per-shard probes, optionally fanned out on the dedicated pool. Each
-  // probe catches its own failure: a remote shard that is down must
-  // surface as one typed degraded error naming the missing shards — and
-  // never hang the query or tear down the coordinator thread.
-  struct Probe {
-    RangeScanBatch batch;
+  // Route every probe by its object's shard mask (a range probe reads
+  // every shard) and group the probes by shard: one backend call per
+  // shard answers all of that shard's probes, in probe order.
+  struct ShardCall {
+    std::vector<size_t> index;  // positions in `probes`
+    std::vector<CollectProbe> probes;
+    std::vector<RangeScanBatch> batches;
     bool failed = false;
     std::string error;
   };
-  std::vector<Probe> probes(probe_shards.size());
-  const auto run_probe = [&](size_t i) {
-    Probe& p = probes[i];
-    const uint32_t s = probe_shards[i];
+  std::vector<ShardCall> calls(shards_.size());
+  std::vector<HostId> homes(probes.size(), kInvalidHostId);
+  for (size_t i = 0; i < probes.size(); ++i) {
+    const CollectProbe& p = probes[i];
+    uint64_t mask = all_shards;
+    if (p.kind != ProbeKind::kRange) {
+      mask = MaskFor(p.kind == ProbeKind::kSrc ? src_shards_ : dest_shards_,
+                     p.key);
+      homes[i] = catalog_->Get(p.key).host();
+    }
+    for (uint32_t s = 0; s < shards_.size(); ++s) {
+      if ((mask & (uint64_t{1} << s)) == 0) continue;
+      calls[s].index.push_back(i);
+      calls[s].probes.push_back(p);
+    }
+  }
+  std::vector<uint32_t> called;
+  for (uint32_t s = 0; s < shards_.size(); ++s) {
+    if (!calls[s].probes.empty()) called.push_back(s);
+  }
+
+  // Each shard call catches its own failure: a remote shard that is down
+  // must surface as one typed degraded error naming the missing shards —
+  // and never hang the query or tear down the coordinator thread.
+  const auto run_call = [&](uint32_t s) {
+    ShardCall& c = calls[s];
     try {
-      if (key == kInvalidObjectId) {
-        p.batch = shards_[s].backend->CollectRange(begin, end);
-      } else if (by_src) {
-        p.batch = shards_[s].backend->CollectSrc(key, begin, end);
-      } else {
-        p.batch = shards_[s].backend->CollectDest(key, begin, end);
+      c.batches = shards_[s].backend->CollectMany(c.probes);
+      if (c.batches.size() != c.probes.size()) {
+        throw dist::DistError(dist::kDistErrProtocol,
+                              "collect answered " +
+                                  std::to_string(c.batches.size()) + " of " +
+                                  std::to_string(c.probes.size()) +
+                                  " probes");
       }
     } catch (const std::exception& e) {
-      p.failed = true;
-      p.error = e.what();
+      c.failed = true;
+      c.error = e.what();
     }
   };
 
-  if (fanout_pool_ != nullptr && probe_shards.size() > 1) {
-    // Join on a per-call latch, not pool idleness: concurrent Gathers
-    // (the Executor's prefetch workers) share the pool and must not wait
-    // for each other's probes.
+  if (fanout_pool_ != nullptr && called.size() > 1) {
+    // Join on a per-call latch, not pool idleness: concurrent calls share
+    // the pool and must not wait for each other's probes.
     Mutex latch_mu("ShardedStore::gather_latch");
     CondVar latch_cv;
-    size_t remaining = probe_shards.size();
-    for (size_t i = 0; i < probe_shards.size(); ++i) {
-      const bool queued = fanout_pool_->Submit([&, i] {
-        run_probe(i);
+    size_t remaining = called.size();
+    for (const uint32_t s : called) {
+      const bool queued = fanout_pool_->Submit([&, s] {
+        run_call(s);
         MutexLock lock(&latch_mu);
         if (--remaining == 0) latch_cv.NotifyOne();
       });
       if (!queued) {
         // Pool is shutting down; probe inline so the latch still opens.
-        run_probe(i);
+        run_call(s);
         MutexLock lock(&latch_mu);
         --remaining;
       }
@@ -188,74 +209,74 @@ RangeScanBatch ShardedStore::Gather(bool by_src, ObjectId key, uint64_t mask,
     MutexLock lock(&latch_mu);
     while (remaining > 0) latch_cv.Wait(lock);
   } else {
-    for (size_t i = 0; i < probe_shards.size(); ++i) run_probe(i);
+    for (const uint32_t s : called) run_call(s);
   }
 
   size_t n_down = 0;
   std::string down;
-  for (size_t i = 0; i < probe_shards.size(); ++i) {
-    if (!probes[i].failed) continue;
+  for (const uint32_t s : called) {
+    if (!calls[s].failed) continue;
     if (n_down++ > 0) down += "; ";
-    down += "shard " + std::to_string(probe_shards[i]) + ": " +
-            probes[i].error;
+    down += "shard " + std::to_string(s) + ": " + calls[s].error;
   }
   if (n_down > 0) {
     throw dist::DistError(
         dist::kDistErrUnavailable,
         "degraded scan: " + std::to_string(n_down) + " of " +
-            std::to_string(probe_shards.size()) +
+            std::to_string(called.size()) +
             " probed shards unavailable (" + down + ")");
   }
 
-  RangeScanBatch out;
-  for (size_t i = 0; i < probe_shards.size(); ++i) {
-    const uint32_t s = probe_shards[i];
-    RangeScanBatch& b = probes[i].batch;
-    ShardScanSlice slice;
-    slice.shard = s;
-    slice.rows = b.rows.size();
-    slice.partitions_probed = b.partitions_probed;
-    slice.partitions_seeked = b.partitions_seeked;
-    slice.segments_pruned = b.segments_pruned;
-    for (Event& e : b.rows) {
-      // Shards assign their own dense local ids; callers only ever see
-      // the coordinator's global id (the monolithic append-order id).
-      e.id = shards_[s].gid_of[e.id];
-      if (home != kInvalidHostId && e.host != home) slice.boundary_rows++;
+  std::vector<RangeScanBatch> out(probes.size());
+  for (const uint32_t s : called) {
+    ShardCall& c = calls[s];
+    for (size_t j = 0; j < c.index.size(); ++j) {
+      RangeScanBatch& b = c.batches[j];
+      RangeScanBatch& o = out[c.index[j]];
+      const HostId home = homes[c.index[j]];
+      ShardScanSlice slice;
+      slice.shard = s;
+      slice.rows = b.rows.size();
+      slice.partitions_probed = b.partitions_probed;
+      slice.partitions_seeked = b.partitions_seeked;
+      slice.segments_pruned = b.segments_pruned;
+      for (Event& e : b.rows) {
+        // Shards assign their own dense local ids; callers only ever see
+        // the coordinator's global id (the monolithic append-order id).
+        e.id = shards_[s].gid_of[e.id];
+        if (home != kInvalidHostId && e.host != home) slice.boundary_rows++;
+      }
+      o.partitions_probed += b.partitions_probed;
+      o.partitions_seeked += b.partitions_seeked;
+      o.segments_pruned += b.segments_pruned;
+      o.shard_slices.push_back(slice);
+      // Deterministic merge by (timestamp, gid). Within a shard, local
+      // ids are assigned in global append order, so each per-shard list
+      // is already (timestamp, gid)-sorted and the merge reproduces
+      // exactly the order the monolithic backend would have returned.
+      o.rows = o.rows.empty() ? std::move(b.rows)
+                              : MergeScanRows(o.rows, b.rows);
     }
-    out.partitions_probed += b.partitions_probed;
-    out.partitions_seeked += b.partitions_seeked;
-    out.segments_pruned += b.segments_pruned;
-    out.shard_slices.push_back(slice);
-    // Deterministic merge by (timestamp, gid). Within a shard, local ids
-    // are assigned in global append order, so each per-shard list is
-    // already (timestamp, gid)-sorted and the merge reproduces exactly
-    // the order the monolithic backend would have returned.
-    out.rows = out.rows.empty() ? std::move(b.rows)
-                                : MergeScanRows(out.rows, b.rows);
   }
   return out;
 }
 
 RangeScanBatch ShardedStore::CollectDest(ObjectId dest, TimeMicros begin,
                                          TimeMicros end) const {
-  return Gather(/*by_src=*/false, dest, MaskFor(dest_shards_, dest),
-                catalog_->Get(dest).host(), begin, end);
+  const CollectProbe probe{ProbeKind::kDest, dest, begin, end};
+  return std::move(CollectMany({&probe, 1})[0]);
 }
 
 RangeScanBatch ShardedStore::CollectSrc(ObjectId src, TimeMicros begin,
                                         TimeMicros end) const {
-  return Gather(/*by_src=*/true, src, MaskFor(src_shards_, src),
-                catalog_->Get(src).host(), begin, end);
+  const CollectProbe probe{ProbeKind::kSrc, src, begin, end};
+  return std::move(CollectMany({&probe, 1})[0]);
 }
 
 RangeScanBatch ShardedStore::CollectRange(TimeMicros begin,
                                           TimeMicros end) const {
-  const uint64_t all = shards_.size() == kMaxStoreShards
-                           ? ~uint64_t{0}
-                           : (uint64_t{1} << shards_.size()) - 1;
-  return Gather(/*by_src=*/false, kInvalidObjectId, all, kInvalidHostId,
-                begin, end);
+  const CollectProbe probe{ProbeKind::kRange, kInvalidObjectId, begin, end};
+  return std::move(CollectMany({&probe, 1})[0]);
 }
 
 bool ShardedStore::HasIncomingWrite(ObjectId object, TimeMicros begin,

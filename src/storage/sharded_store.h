@@ -42,7 +42,9 @@ struct EventStoreOptions;
 /// Rows whose event host differs from the probed object's catalog host —
 /// cross-host flows that live on a shard the object does not call home —
 /// are the *boundary edges*; the mask-driven fan-out is the boundary-edge
-/// exchange that folds them back into the result.
+/// exchange that folds them back into the result. CollectMany batches
+/// this walk: the probes of several windows go to each shard in one
+/// call, so a batch costs one round trip per shard, not one per window.
 ///
 /// Replay stays single-threaded at the coordinator: ReplayScan applies
 /// the filter and charges clock/metrics exactly like the base contract,
@@ -98,6 +100,19 @@ class ShardedStore final : public StorageBackend {
                             TimeMicros end) const override;
   RangeScanBatch CollectRange(TimeMicros begin, TimeMicros end) const override;
 
+  /// The scatter-gather walk behind every Collect* (each is the
+  /// one-probe case): groups the probes by shard mask and makes one
+  /// CollectMany call per probed shard — concurrently on the fan-out pool
+  /// when configured, else sequentially — then, per probe, rewrites each
+  /// row's local id to its global id, counts boundary rows against the
+  /// probed object's home host, merges the per-shard rows by
+  /// (timestamp, gid), and records one ShardScanSlice per shard probed.
+  /// A shard call that throws (a remote shard down) is caught per shard;
+  /// the call then raises one dist::DistError(DST-E005) naming every
+  /// missing shard — degraded mode, never a hang.
+  std::vector<RangeScanBatch> CollectMany(
+      std::span<const CollectProbe> probes) const override;
+
   bool HasIncomingWrite(ObjectId object, TimeMicros begin,
                         TimeMicros end) const override;
   std::vector<ObjectId> FlowDestsOf(ObjectId src, TimeMicros begin,
@@ -138,17 +153,6 @@ class ShardedStore final : public StorageBackend {
 
   uint32_t RouteShard(HostId host, TimeMicros timestamp) const;
 
-  /// Shared scatter-gather walk behind CollectDest/CollectSrc/
-  /// CollectRange: probes the masked shards (concurrently on the fan-out
-  /// pool when configured, else sequentially), rewrites each row's local
-  /// id to its global id, counts boundary rows against `home`, and merges
-  /// the per-shard rows by (timestamp, gid). `mask` bit s selects shard
-  /// s. A probe that throws (a remote shard down) is caught per shard;
-  /// the call then raises one dist::DistError(DST-E005) naming every
-  /// missing shard — degraded mode, never a hang.
-  RangeScanBatch Gather(bool by_src, ObjectId key, uint64_t mask,
-                        HostId home, TimeMicros begin, TimeMicros end) const;
-
   /// Shard mask for an object (0 when the object never appeared).
   uint64_t MaskFor(const std::vector<uint64_t>& masks, ObjectId id) const {
     return id < masks.size() ? masks[id] : 0;
@@ -165,10 +169,10 @@ class ShardedStore final : public StorageBackend {
 
   const ObjectCatalog* catalog_;
   DurationMicros partition_micros_;
-  /// Dedicated fan-out workers for Gather when
+  /// Dedicated fan-out workers for CollectMany when
   /// EventStoreOptions::dist_fanout_threads > 0 (remote shards); null =
-  /// sequential probes. Gathers running concurrently share the pool but
-  /// join on their own per-call latch, never on pool idleness.
+  /// sequential shard calls. Concurrent calls share the pool but join on
+  /// their own per-call latch, never on pool idleness.
   std::unique_ptr<WorkerPool> fanout_pool_;
   std::vector<Shard> shards_;
   std::vector<RowMeta> meta_;  // indexed by global EventId

@@ -99,6 +99,26 @@ std::vector<Event> MergeScanRows(const std::vector<Event>& a,
   return merged;
 }
 
+std::vector<RangeScanBatch> StorageBackend::CollectMany(
+    std::span<const CollectProbe> probes) const {
+  std::vector<RangeScanBatch> out;
+  out.reserve(probes.size());
+  for (const CollectProbe& p : probes) {
+    switch (p.kind) {
+      case ProbeKind::kDest:
+        out.push_back(CollectDest(p.key, p.begin, p.end));
+        break;
+      case ProbeKind::kSrc:
+        out.push_back(CollectSrc(p.key, p.begin, p.end));
+        break;
+      case ProbeKind::kRange:
+        out.push_back(CollectRange(p.begin, p.end));
+        break;
+    }
+  }
+  return out;
+}
+
 StorageBackend::StorageBackend(StorageBackendKind kind, CostModel cost_model)
     : kind_(kind), cost_model_(cost_model) {}
 

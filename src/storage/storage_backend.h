@@ -5,6 +5,7 @@
 #include <functional>
 #include <limits>
 #include <optional>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -64,6 +65,11 @@ struct BackendCapabilities {
   /// The storage unit the `partitions_probed`/`partitions_seeked`
   /// counters count ("time partition" or "column segment").
   const char* probe_unit = "time partition";
+  /// Windows the Executor collects in one CollectMany call (B). 1 for
+  /// in-process backends, where a collect is a memory-bound index walk
+  /// and the popped window is collected inline; larger where every
+  /// collect call costs a round trip (a remote shard daemon).
+  size_t collect_batch = 1;
 };
 
 /// Cumulative I/O counters, used by the resource model and the benches.
@@ -147,6 +153,23 @@ struct RangeScanBatch {
   std::vector<ShardScanSlice> shard_slices;
 };
 
+/// Which Collect* a CollectProbe stands for.
+enum class ProbeKind : uint8_t {
+  kDest = 0,   // CollectDest(key, begin, end)
+  kSrc = 1,    // CollectSrc(key, begin, end)
+  kRange = 2,  // CollectRange(begin, end); key unused
+};
+
+/// One window's collect, as CollectMany takes it.
+struct CollectProbe {
+  ProbeKind kind = ProbeKind::kDest;
+  ObjectId key = kInvalidObjectId;
+  TimeMicros begin = 0;
+  TimeMicros end = 0;
+
+  bool operator==(const CollectProbe&) const = default;
+};
+
 /// Physical storage layout behind an EventStore.
 ///
 /// A backend owns the event rows and their indexes; the EventStore façade
@@ -167,9 +190,9 @@ struct RangeScanBatch {
 /// Thread-safety (the read-after-build contract): construction —
 /// Append()s followed by Seal() — must happen on one thread (or be
 /// externally synchronized). After Seal(), any number of threads may call
-/// every const member concurrently: Collect*/Get/HasIncomingWrite/
-/// FlowDestsOf touch no mutable state at all (the Executor's scan workers
-/// rely on this for zero cross-thread traffic), and ReplayScan
+/// every const member concurrently: Collect*/CollectMany/Get/
+/// HasIncomingWrite/FlowDestsOf touch no mutable state at all (the
+/// sharded store's fan-out threads rely on this), and ReplayScan
 /// serializes only its counter updates behind a single stats mutex so
 /// stats() snapshots are consistent across fields. Post-seal streaming
 /// Append()s require external synchronization with all queries, exactly
@@ -221,6 +244,14 @@ class StorageBackend {
   /// overlapping storage unit is counted both probed and seeked.
   virtual RangeScanBatch CollectRange(TimeMicros begin,
                                       TimeMicros end) const = 0;
+
+  /// Batched pure row collection: one batch per probe, in probe order,
+  /// each exactly what the matching Collect* returns for it. The default
+  /// loops over Collect*; backends where a call costs a round trip
+  /// override it to answer the whole list at once. Same contract as
+  /// Collect* (no charge, safe concurrently on a sealed store).
+  virtual std::vector<RangeScanBatch> CollectMany(
+      std::span<const CollectProbe> probes) const;
 
   /// True if any event's flow destination is `object` within [begin, end).
   /// Used by derived attribute isReadOnly. Does not charge cost.

@@ -71,57 +71,47 @@ if(NOT rc EQUAL 1)
   message(FATAL_ERROR "lint --werror should exit 1 on warnings: rc=${rc}")
 endif()
 
-# --threads: a valid parallel run succeeds and exports the scan-thread
-# gauge plus the deterministic scan-cost counter in the metrics snapshot.
+# Metrics: a run exports the deterministic scan-cost counter, and in
+# process (collect batch 1) no window is served from a batched collect.
 execute_process(
   COMMAND ${CLI} run --trace=${WORKDIR}/a2.tsv --script=${WORKDIR}/a2.tsv.bdl
-          --sim-limit=2mins --quiet --threads=2
-          --json=${WORKDIR}/par1.json --metrics-out=${WORKDIR}/par.metrics
+          --sim-limit=2mins --quiet
+          --json=${WORKDIR}/det1.json --metrics-out=${WORKDIR}/det.metrics
   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
-if(NOT rc EQUAL 0 OR NOT EXISTS ${WORKDIR}/par1.json)
-  message(FATAL_ERROR "run --threads=2 failed: rc=${rc} ${out}${err}")
+if(NOT rc EQUAL 0 OR NOT EXISTS ${WORKDIR}/det1.json)
+  message(FATAL_ERROR "metrics run failed: rc=${rc} ${out}${err}")
 endif()
-file(READ ${WORKDIR}/par.metrics metrics)
-if(NOT metrics MATCHES "aptrace_executor_scan_threads 2")
-  message(FATAL_ERROR "metrics missing scan_threads gauge: ${metrics}")
-endif()
+file(READ ${WORKDIR}/det.metrics metrics)
 if(NOT metrics MATCHES "aptrace_executor_scan_cost_micros_total")
   message(FATAL_ERROR "metrics missing scan cost counter: ${metrics}")
 endif()
+if(NOT metrics MATCHES "aptrace_executor_prefetch_hits_total 0\n")
+  message(FATAL_ERROR "in-process run served batched rows: ${metrics}")
+endif()
 
-# Determinism: a second --threads=2 run over the same inputs must produce
-# a byte-identical graph JSON.
+# Determinism: a second run over the same inputs must produce a
+# byte-identical graph JSON.
 execute_process(
   COMMAND ${CLI} run --trace=${WORKDIR}/a2.tsv --script=${WORKDIR}/a2.tsv.bdl
-          --sim-limit=2mins --quiet --threads=2 --json=${WORKDIR}/par2.json
+          --sim-limit=2mins --quiet --json=${WORKDIR}/det2.json
   RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "second run --threads=2 failed: rc=${rc}")
+  message(FATAL_ERROR "second run failed: rc=${rc}")
 endif()
 execute_process(
-  COMMAND ${CMAKE_COMMAND} -E compare_files ${WORKDIR}/par1.json ${WORKDIR}/par2.json
+  COMMAND ${CMAKE_COMMAND} -E compare_files ${WORKDIR}/det1.json ${WORKDIR}/det2.json
   RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "--threads=2 graph JSON is not deterministic")
+  message(FATAL_ERROR "graph JSON is not deterministic")
 endif()
 
-# --threads=0 (and any non-positive or non-numeric value) is a usage error
-# with a documented diagnostic code.
+# The executor owns no scan threads: --threads is an unknown flag.
 execute_process(
   COMMAND ${CLI} run --trace=${WORKDIR}/a2.tsv --script=${WORKDIR}/a2.tsv.bdl
-          --sim-limit=2mins --quiet --threads=0
+          --sim-limit=2mins --quiet --threads=2
   RESULT_VARIABLE rc ERROR_VARIABLE err)
-if(rc EQUAL 0 OR NOT err MATCHES "CLI-E001")
-  message(FATAL_ERROR "--threads=0 should fail with CLI-E001: rc=${rc} ${err}")
-endif()
-
-# An oversubscribed request warns and clamps but still runs.
-execute_process(
-  COMMAND ${CLI} run --trace=${WORKDIR}/a2.tsv --script=${WORKDIR}/a2.tsv.bdl
-          --sim-limit=2mins --quiet --threads=4096
-  RESULT_VARIABLE rc ERROR_VARIABLE err)
-if(NOT rc EQUAL 0 OR NOT err MATCHES "CLI-W001")
-  message(FATAL_ERROR "--threads=4096 should clamp with CLI-W001: rc=${rc} ${err}")
+if(rc EQUAL 0 OR NOT err MATCHES "unknown flag: --threads=2")
+  message(FATAL_ERROR "--threads should be rejected as unknown: rc=${rc} ${err}")
 endif()
 
 # Storage backends: the same analysis on --backend=row and

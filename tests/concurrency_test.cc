@@ -14,6 +14,7 @@
 #include "core/engine.h"
 #include "service/http.h"
 #include "service/session_manager.h"
+#include "tests/forwarding_backend.h"
 #include "util/sync.h"
 #include "util/worker_pool.h"
 #include "workload/enterprise.h"
@@ -67,22 +68,28 @@ TEST(ConcurrencyTest, ParallelSessionsMatchSerial) {
   }
 }
 
-// The parallel scan pipeline inside one executor: scan_threads > 1 must
-// reproduce the sequential edge set, including when several parallel
-// executors run concurrently over the same store (worker pools of
-// different sessions share nothing but the sealed store).
-TEST(ConcurrencyTest, ParallelExecutorMatchesSequential) {
+// Batched collection inside concurrent executors: sessions over a store
+// whose shards report collect_batch 8 (and fan out on 2 threads) must
+// reproduce the inline edge sets, also when several batched sessions
+// run at once over the same store (their CollectMany calls share the
+// store's fan-out pool and nothing else).
+TEST(ConcurrencyTest, BatchedExecutorsMatchInline) {
   workload::TraceConfig config = workload::TraceConfig::Small();
   config.num_hosts = 4;
-  auto store = workload::BuildEnterpriseTrace(config);
-  const auto alerts = workload::SampleAnomalyEvents(*store, 8, 13);
+  config.shards = 2;
+  auto inline_store = workload::BuildEnterpriseTrace(config);
+  config.store_tweak = [](EventStoreOptions& options) {
+    options.dist_fanout_threads = 2;
+    UseForwardingShards(options, 8);
+  };
+  auto batched_store = workload::BuildEnterpriseTrace(config);
+  ASSERT_EQ(batched_store->backend().capabilities().collect_batch, 8u);
+  const auto alerts = workload::SampleAnomalyEvents(*inline_store, 8, 13);
 
-  const auto run_one = [&](const Event& alert, int scan_threads) {
+  const auto run_one = [&](const EventStore& store, const Event& alert) {
     SimClock clock;
-    SessionOptions options;
-    options.scan_threads = scan_threads;
-    Session session(store.get(), &clock, options);
-    const auto spec = workload::GenericSpecFor(*store, alert);
+    Session session(&store, &clock);
+    const auto spec = workload::GenericSpecFor(store, alert);
     EXPECT_TRUE(session.StartWithSpec(spec, alert).ok());
     RunLimits limits;
     limits.sim_time = 10 * kMicrosPerMinute;
@@ -92,23 +99,22 @@ TEST(ConcurrencyTest, ParallelExecutorMatchesSequential) {
 
   std::vector<std::set<EventId>> serial;
   serial.reserve(alerts.size());
-  for (const Event& alert : alerts) serial.push_back(run_one(alert, 1));
+  for (const Event& alert : alerts) {
+    serial.push_back(run_one(*inline_store, alert));
+  }
 
-  // Sessions whose executors each own a 4-worker pool, themselves spread
-  // across 2 outer threads: pool workers from different executors hit the
-  // store concurrently.
-  std::vector<std::set<EventId>> parallel(alerts.size());
+  std::vector<std::set<EventId>> batched(alerts.size());
   std::vector<std::thread> outer;
   for (int t = 0; t < 2; ++t) {
     outer.emplace_back([&, t] {
       for (size_t i = static_cast<size_t>(t); i < alerts.size(); i += 2) {
-        parallel[i] = run_one(alerts[i], 4);
+        batched[i] = run_one(*batched_store, alerts[i]);
       }
     });
   }
   for (auto& t : outer) t.join();
   for (size_t i = 0; i < alerts.size(); ++i) {
-    EXPECT_EQ(parallel[i], serial[i]) << "case " << i;
+    EXPECT_EQ(batched[i], serial[i]) << "case " << i;
   }
 }
 
@@ -213,6 +219,12 @@ TEST(ConcurrencyTest, ShardedStatsSnapshotsReconcileUnderScans) {
   workload::TraceConfig config = workload::TraceConfig::Small();
   config.num_hosts = 4;
   config.shards = 4;
+  // Batched collects on the fan-out pool: CollectMany scatter-gathers
+  // on pool threads while replays charge on the session threads.
+  config.store_tweak = [](EventStoreOptions& options) {
+    options.dist_fanout_threads = 2;
+    UseForwardingShards(options, 8);
+  };
   auto store = workload::BuildEnterpriseTrace(config);
   ASSERT_EQ(store->shard_count(), 4u);
   store->ResetStats();
@@ -232,9 +244,7 @@ TEST(ConcurrencyTest, ShardedStatsSnapshotsReconcileUnderScans) {
     pool.emplace_back([&, t] {
       for (size_t i = static_cast<size_t>(t); i < alerts.size(); i += 4) {
         SimClock clock;
-        SessionOptions options;
-        options.scan_threads = 2;  // pool workers scatter-gather too
-        Session session(store.get(), &clock, options);
+        Session session(store.get(), &clock);
         const auto spec = workload::GenericSpecFor(*store, alerts[i]);
         if (!session.StartWithSpec(spec, alerts[i]).ok()) continue;
         RunLimits limits;

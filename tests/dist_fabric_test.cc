@@ -1,11 +1,13 @@
 // Distributed fabric, process layer: real aptrace_shardd daemons (forked
 // via ShardFleet from the APTRACE_SHARDD_BIN compile definition) behind a
 // coordinator-side store whose shards are RemoteShardBackends. The
-// tentpole invariant: a graph computed over the distributed fabric is
-// byte-identical to the in-process --shards=N store and to the monolithic
-// store — both backends, any scan-thread count. The degraded-mode
-// contract: SIGKILLing one daemon mid-query fails the session with a
-// typed DST-E00x detail, never a hang.
+// tentpole invariant: a graph computed over the distributed fabric —
+// where the executor collects windows in batches of
+// RemoteShardBackend::kCollectBatch — is byte-identical to the in-process
+// --shards=N store and to the monolithic store, on both backends. The
+// RPC contract: batching keeps shard RPCs per processed window at or
+// under 1/4. The degraded-mode contract: SIGKILLing one daemon fails
+// the session with a typed DST-E00x detail, never a hang.
 
 #include <fcntl.h>
 #include <signal.h>
@@ -16,6 +18,7 @@
 
 #include <cerrno>
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -28,6 +31,8 @@
 #include "dist/remote_backend.h"
 #include "dist/shard_client.h"
 #include "graph/json_writer.h"
+#include "obs/metrics.h"
+#include "obs/names.h"
 #include "tests/random_trace_util.h"
 #include "util/clock.h"
 
@@ -86,12 +91,9 @@ RandomTrace MakeDistributedTrace(uint64_t seed, size_t num_events,
       });
 }
 
-std::string RunGraph(const RandomTrace& t, const std::string& script,
-                     int scan_threads) {
+std::string RunGraph(const RandomTrace& t, const std::string& script) {
   SimClock clock;
-  SessionOptions options;
-  options.scan_threads = scan_threads;
-  Session session(t.store.get(), &clock, options);
+  Session session(t.store.get(), &clock);
   EXPECT_TRUE(session.Start(script, t.alert).ok());
   auto reason = session.Step();
   EXPECT_TRUE(reason.ok()) << reason.status();
@@ -124,16 +126,50 @@ TEST_P(DistFabric, GraphBytesIdenticalToInProcessAndMonolithic) {
       base + " where hop <= 3",
   };
   for (const std::string& script : variants) {
-    for (const int threads : {1, 4}) {
-      const std::string want = RunGraph(mono, script, threads);
-      EXPECT_EQ(RunGraph(sharded, script, threads), want)
-          << "in-process sharded drifted: threads=" << threads
-          << " script=" << script;
-      EXPECT_EQ(RunGraph(dist, script, threads), want)
-          << "distributed drifted: threads=" << threads
-          << " script=" << script;
-    }
+    const std::string want = RunGraph(mono, script);
+    EXPECT_EQ(RunGraph(sharded, script), want)
+        << "in-process sharded drifted: script=" << script;
+    EXPECT_EQ(RunGraph(dist, script), want)
+        << "distributed drifted: script=" << script;
   }
+}
+
+uint64_t CounterValue(const char* name) {
+  return obs::Metrics().FindOrCreateCounter(name)->value();
+}
+
+// The RPC contract: a fixed family of fleet investigations costs at most
+// one shard RPC per four processed windows. Inline collection (B = 1)
+// costs about one RPC per window per probed shard, so this fails if the
+// executor stops batching over a fleet.
+TEST_P(DistFabric, RpcsPerWindowStayUnderAQuarter) {
+  const StorageBackendKind backend = GetParam();
+  auto fleet = ShardFleet::Launch(MakeFleetOptions(backend));
+  ASSERT_TRUE(fleet.ok()) << fleet.status();
+  const RandomTrace dist =
+      MakeDistributedTrace(97, 400, backend, *fleet.value());
+  ASSERT_EQ(dist.store->backend().capabilities().collect_batch,
+            RemoteShardBackend::kCollectBatch);
+
+  const std::string base = UnconstrainedScript(dist);
+  const uint64_t rpcs0 = CounterValue(obs::names::kDistRpcs);
+  const uint64_t windows0 =
+      CounterValue(obs::names::kExecutorWindowsProcessed);
+  for (const std::string& script :
+       {base, base + " where file.path != \"*.dll\"",
+        base + " where hop <= 3"}) {
+    EXPECT_FALSE(RunGraph(dist, script).empty());
+  }
+  const uint64_t rpcs = CounterValue(obs::names::kDistRpcs) - rpcs0;
+  const uint64_t windows =
+      CounterValue(obs::names::kExecutorWindowsProcessed) - windows0;
+  std::printf("rpc contract (%s): %llu rpcs for %llu windows\n",
+              StorageBackendName(backend),
+              static_cast<unsigned long long>(rpcs),
+              static_cast<unsigned long long>(windows));
+  ASSERT_GT(windows, 100u);
+  EXPECT_LE(rpcs * 4, windows) << rpcs << " rpcs for " << windows
+                               << " windows";
 }
 
 TEST_P(DistFabric, KilledShardFailsQueryWithTypedErrorNotAHang) {
@@ -147,7 +183,7 @@ TEST_P(DistFabric, KilledShardFailsQueryWithTypedErrorNotAHang) {
 
   // A healthy fleet answers first, proving the store works before the
   // fault is injected.
-  EXPECT_FALSE(RunGraph(dist, script, 4).empty());
+  EXPECT_FALSE(RunGraph(dist, script).empty());
 
   // SIGKILL one daemon: no drain, its connections die mid-stream. The
   // next query must come back as a typed degraded error within the
@@ -155,9 +191,7 @@ TEST_P(DistFabric, KilledShardFailsQueryWithTypedErrorNotAHang) {
   ASSERT_TRUE(fleet.value()->Kill(2, SIGKILL).ok());
 
   SimClock clock;
-  SessionOptions options;
-  options.scan_threads = 4;
-  Session session(dist.store.get(), &clock, options);
+  Session session(dist.store.get(), &clock);
   ASSERT_TRUE(session.Start(script, dist.alert).ok());
   const auto reason = session.Step();
   ASSERT_FALSE(reason.ok())
@@ -169,11 +203,46 @@ TEST_P(DistFabric, KilledShardFailsQueryWithTypedErrorNotAHang) {
   // start-point resolution itself scan the store — that path must also
   // come back as a typed Status, not an escaped exception (an uncaught
   // throw in the daemon kills the process).
-  Session fresh(dist.store.get(), &clock, options);
+  Session fresh(dist.store.get(), &clock);
   const Status start = fresh.Start(script, std::nullopt);
   ASSERT_FALSE(start.ok())
       << "start-point scan over a killed shard should fail";
   EXPECT_NE(start.message().find("DST-"), std::string::npos) << start;
+}
+
+// A shard killed between two batches of a running investigation: the
+// next batch's collect ends the investigation with one DST-E005 that
+// names the dead shard, within the client's retry budget.
+TEST_P(DistFabric, ShardKilledBetweenBatchesEndsWithOneTypedError) {
+  const StorageBackendKind backend = GetParam();
+  auto fleet = ShardFleet::Launch(MakeFleetOptions(backend));
+  ASSERT_TRUE(fleet.ok()) << fleet.status();
+  const RandomTrace dist =
+      MakeDistributedTrace(13, 400, backend, *fleet.value());
+
+  SimClock clock;
+  Session session(dist.store.get(), &clock);
+  ASSERT_TRUE(session.Start(UnconstrainedScript(dist), dist.alert).ok());
+  RunLimits first;
+  first.max_updates = 1;
+  const auto paused = session.Step(first);
+  ASSERT_TRUE(paused.ok()) << paused.status();
+  ASSERT_EQ(paused.value(), StopReason::kUpdateCap);
+
+  ASSERT_TRUE(fleet.value()->Kill(2, SIGKILL).ok());
+  const ShardClientOptions budget = FabricClientOptions();
+  const TimeMicros t0 = MonotonicNowMicros();
+  const auto reason = session.Step();
+  const TimeMicros took = MonotonicNowMicros() - t0;
+  ASSERT_FALSE(reason.ok()) << "a batch over a killed shard must fail";
+  const std::string message(reason.status().message());
+  EXPECT_EQ(message.rfind("DST-E005: degraded scan: 1 of ", 0), 0u)
+      << message;
+  EXPECT_NE(message.find("shard 2: "), std::string::npos) << message;
+  EXPECT_EQ(message.find("shard 0: "), std::string::npos) << message;
+  EXPECT_LT(took, static_cast<TimeMicros>(budget.max_attempts *
+                                          budget.deadline_micros))
+      << "took " << took << " us";
 }
 
 TEST_P(DistFabric, ColdStoreRejectsIdentityMismatchedFleet) {

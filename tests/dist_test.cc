@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -117,6 +118,23 @@ TEST(ShardCodec, TruncatedPayloadsAreRejected) {
   const std::string events = EncodeEvents({TestEvent(1)});
   EXPECT_FALSE(DecodeEvents(events.substr(1)).ok());
   EXPECT_FALSE(DecodeU64s("1234567").ok());  // 7 bytes
+}
+
+TEST(ShardCodec, ProbesRoundTripAndRejectUnknownKinds) {
+  const std::vector<CollectProbe> probes = {
+      {ProbeKind::kDest, 42, -5, 900},
+      {ProbeKind::kSrc, 7, 0, 1},
+      {ProbeKind::kRange, kInvalidObjectId, 100, 200},
+  };
+  const std::string bytes = EncodeProbes(probes);
+  EXPECT_EQ(bytes.size(), probes.size() * kShardProbeBytes);
+  auto decoded = DecodeProbes(bytes);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_EQ(decoded.value(), probes);
+  EXPECT_FALSE(DecodeProbes(bytes.substr(0, bytes.size() - 1)).ok());
+  std::string bad = bytes;
+  bad[kShardProbeBytes] = 3;  // the second record's kind
+  EXPECT_FALSE(DecodeProbes(bad).ok());
 }
 
 TEST(ShardCodec, U64sRoundTrip) {
@@ -244,6 +262,100 @@ TEST_F(ShardServiceTest, AppendSealCollectRoundTrip) {
   }
 }
 
+/// A shard.collect_many request carrying `probes`.
+std::string CollectManyRequest(const std::vector<CollectProbe>& probes) {
+  obs::JsonDict d;
+  d.Add("op", "shard.collect_many");
+  d.Add("probes", Base64Encode(EncodeProbes(probes)));
+  d.Add("count", static_cast<uint64_t>(probes.size()));
+  return d.Str();
+}
+
+TEST_F(ShardServiceTest, CollectManyMatchesLocalBackendExactly) {
+  std::vector<Event> events;
+  for (uint64_t i = 0; i < 60; ++i) events.push_back(TestEvent(i));
+  ASSERT_TRUE(Handle(AppendRequest(events, 0)).GetBool("ok"));
+  ASSERT_TRUE(Handle("{\"op\":\"shard.seal\"}").GetBool("ok"));
+  RowStoreBackend local(CostModel{}, 50);
+  for (const Event& e : events) local.Append(e);
+  local.Seal();
+
+  const std::vector<CollectProbe> probes = {
+      {ProbeKind::kDest, events[3].FlowDest(), 0, 500},
+      {ProbeKind::kSrc, events[4].FlowSource(), 40, 300},
+      {ProbeKind::kDest, 999'999, 0, 600},  // never stored: no rows
+      {ProbeKind::kRange, kInvalidObjectId, 120, 480},
+      {ProbeKind::kDest, events[3].FlowDest(), 0, 500},  // repeated
+  };
+  const std::vector<RangeScanBatch> want = local.CollectMany(probes);
+  const auto resp = Handle(CollectManyRequest(probes));
+  ASSERT_TRUE(resp.GetBool("ok")) << resp.GetString("error");
+  auto row_bytes = Base64Decode(resp.GetString("rows"));
+  ASSERT_TRUE(row_bytes.ok());
+  auto rows = DecodeRows(row_bytes.value());
+  ASSERT_TRUE(rows.ok());
+  auto counter_bytes = Base64Decode(resp.GetString("probes"));
+  ASSERT_TRUE(counter_bytes.ok());
+  auto counters = DecodeU64s(counter_bytes.value());
+  ASSERT_TRUE(counters.ok());
+  ASSERT_EQ(counters->size(), probes.size() * kProbeCounters);
+  EXPECT_EQ(resp.GetUint("count"), rows->size());
+
+  size_t next = 0;
+  for (size_t i = 0; i < probes.size(); ++i) {
+    const uint64_t* rec = &counters.value()[i * kProbeCounters];
+    ASSERT_EQ(rec[0], want[i].rows.size()) << "probe " << i;
+    EXPECT_EQ(rec[1], want[i].partitions_probed) << "probe " << i;
+    EXPECT_EQ(rec[2], want[i].partitions_seeked) << "probe " << i;
+    EXPECT_EQ(rec[3], want[i].segments_pruned) << "probe " << i;
+    for (const Event& row : want[i].rows) {
+      ASSERT_LT(next, rows->size());
+      EXPECT_EQ(rows.value()[next++], row) << "probe " << i;
+    }
+  }
+  EXPECT_EQ(next, rows->size());
+  EXPECT_FALSE(want[0].rows.empty());
+  EXPECT_TRUE(want[2].rows.empty());
+}
+
+TEST_F(ShardServiceTest, MalformedCollectManyIsTypedE003) {
+  ASSERT_TRUE(Handle(AppendRequest({TestEvent(0)}, 0)).GetBool("ok"));
+  ASSERT_TRUE(Handle("{\"op\":\"shard.seal\"}").GetBool("ok"));
+  const CollectProbe probe{ProbeKind::kDest, 1, 0, 100};
+  const std::string one = EncodeProbes({&probe, 1});
+
+  std::vector<std::string> requests;
+  {  // a payload that is not whole probe records
+    obs::JsonDict d;
+    d.Add("op", "shard.collect_many");
+    d.Add("probes", Base64Encode(one + "x"));
+    d.Add("count", uint64_t{1});
+    requests.push_back(d.Str());
+  }
+  {  // an unknown probe kind
+    std::string bad = one;
+    bad[0] = 9;
+    obs::JsonDict d;
+    d.Add("op", "shard.collect_many");
+    d.Add("probes", Base64Encode(bad));
+    d.Add("count", uint64_t{1});
+    requests.push_back(d.Str());
+  }
+  // One probe over the per-request cap.
+  requests.push_back(CollectManyRequest(
+      std::vector<CollectProbe>(kMaxCollectProbes + 1, probe)));
+  for (const std::string& line : requests) {
+    const auto resp = Handle(line);
+    EXPECT_FALSE(resp.GetBool("ok", true)) << line.substr(0, 120);
+    EXPECT_EQ(resp.GetString("code"), kDistErrProtocol)
+        << resp.GetString("error");
+  }
+  // At the cap the same probe list is served.
+  EXPECT_TRUE(Handle(CollectManyRequest(std::vector<CollectProbe>(
+                         kMaxCollectProbes, probe)))
+                  .GetBool("ok"));
+}
+
 TEST_F(ShardServiceTest, AppendLidMismatchIsTypedE007) {
   const auto resp = Handle(AppendRequest({TestEvent(0)}, /*first_lid=*/5));
   EXPECT_FALSE(resp.GetBool("ok", true));
@@ -293,12 +405,18 @@ TEST_F(ShardServiceTest, ShutdownOpRequestsDrain) {
 /// around a ShardService — the full wire path without fork/exec.
 class InProcessShardd {
  public:
+  /// Rewrites a reply before it goes out (request line, honest reply).
+  using ReplyFilter =
+      std::function<std::string(const std::string&, std::string)>;
+
   explicit InProcessShardd(uint32_t shard,
-                           StorageBackendKind kind = StorageBackendKind::kRow)
+                           StorageBackendKind kind = StorageBackendKind::kRow,
+                           ReplyFilter filter = nullptr)
       : service_(shard, MakeBackend(kind)),
         server_(
-            [this](const std::string& line, bool* shutdown) {
-              return service_.HandleLine(line, shutdown);
+            [this, filter](const std::string& line, bool* shutdown) {
+              std::string reply = service_.HandleLine(line, shutdown);
+              return filter ? filter(line, std::move(reply)) : reply;
             },
             nullptr, Options()) {
     auto s = server_.Start();
@@ -460,6 +578,28 @@ TEST(RemoteShardBackend, MirrorsALocalBackendExactly) {
   EXPECT_EQ(a.rows, b.rows);
   ExpectRowContract(remote, a);
 
+  // One shard.collect_many answers a probe list exactly as the local
+  // backend does, including lists longer than one request may carry.
+  std::vector<CollectProbe> probes;
+  for (size_t i = 0; i < kMaxCollectProbes + 3; ++i) {
+    const Event& e = events[(i * 37) % events.size()];
+    probes.push_back({static_cast<ProbeKind>(i % 3),
+                      i % 2 == 0 ? e.FlowDest() : e.FlowSource(),
+                      e.timestamp - 200, e.timestamp + 300});
+  }
+  const std::vector<RangeScanBatch> many = remote.CollectMany(probes);
+  const std::vector<RangeScanBatch> local_many = local.CollectMany(probes);
+  ASSERT_EQ(many.size(), probes.size());
+  for (size_t i = 0; i < probes.size(); ++i) {
+    EXPECT_EQ(many[i].rows, local_many[i].rows) << "probe " << i;
+    EXPECT_EQ(many[i].partitions_probed, local_many[i].partitions_probed)
+        << "probe " << i;
+    EXPECT_EQ(many[i].partitions_seeked, local_many[i].partitions_seeked)
+        << "probe " << i;
+    EXPECT_EQ(many[i].segments_pruned, local_many[i].segments_pruned)
+        << "probe " << i;
+  }
+
   for (const EventId lid : {EventId{0}, EventId{57}, EventId{599}}) {
     ExpectSameEvent(remote.Get(lid), local.Get(lid));
   }
@@ -467,6 +607,38 @@ TEST(RemoteShardBackend, MirrorsALocalBackendExactly) {
             local.HasIncomingWrite(events[0].FlowDest(), 0, 10'000));
   EXPECT_EQ(remote.FlowDestsOf(events[0].FlowSource(), 0, 10'000),
             local.FlowDestsOf(events[0].FlowSource(), 0, 10'000));
+}
+
+// A reply whose per-probe row counts do not sum to the rows it carries
+// is a protocol violation on the coordinator side, never a mis-split.
+TEST(RemoteShardBackend, CollectReplyWithInconsistentCountsIsE003) {
+  InProcessShardd shardd(
+      1, StorageBackendKind::kRow,
+      [](const std::string& line, std::string reply) {
+        if (line.find("shard.collect_many") == std::string::npos) {
+          return reply;
+        }
+        auto parsed = service::ParseJson(reply);
+        const uint64_t rows = parsed.value().GetUint("count");
+        const std::vector<uint64_t> counters = {rows + 1, 0, 0, 0};
+        obs::JsonDict d;
+        d.Add("ok", true);
+        d.Add("rows", parsed.value().GetString("rows"));
+        d.Add("count", rows);
+        d.Add("probes", Base64Encode(EncodeU64s(counters)));
+        return d.Str();
+      });
+  auto client = std::make_shared<ShardClient>(
+      shardd.endpoint(), 1, StorageBackendKind::kRow, FastFail());
+  RemoteShardBackend remote(client, StorageBackendKind::kRow, CostModel{});
+  for (uint64_t i = 0; i < 20; ++i) remote.Append(TestEvent(i));
+  remote.Seal();
+  try {
+    (void)remote.CollectDest(TestEvent(3).FlowDest(), 0, 10'000);
+    FAIL() << "expected DistError";
+  } catch (const DistError& e) {
+    EXPECT_EQ(e.code(), std::string(kDistErrProtocol)) << e.what();
+  }
 }
 
 }  // namespace

@@ -1,10 +1,13 @@
-// Differential oracle for the parallel scan pipeline: for randomized
-// traces and BDL spec variants, the Executor at scan_threads in {2, 4, 8}
-// must produce output *bit-identical* to scan_threads = 1 — the same
-// graph JSON, the same update-log batch sequence, the same RunStats and
-// stop reason, and the same simulated store charges — and both must match
-// the BaselineExecutor's reachability. This is the contract that makes
-// the parallel pipeline safe to enable by default.
+// Differential oracle for batched collection: for randomized traces and
+// BDL spec variants, the Executor over a store whose collect_batch B is
+// 2, 7 or 64 must produce output *bit-identical* to B = 1 (the inline
+// path) — the same graph JSON, the same update-log batch sequence with
+// its simulated times, the same RunStats and stop reason, and the same
+// simulated store charges — across pauses, refines and checkpoint
+// resumes, and both must match the BaselineExecutor's reachability. The
+// batched stores are 2-shard in-process stores whose shards report the
+// chosen B (tests/forwarding_backend.h), so the whole sharded CollectMany
+// path runs without a shard daemon.
 
 #include <unistd.h>
 
@@ -17,6 +20,7 @@
 
 #include "core/baseline_executor.h"
 #include "core/executor.h"
+#include "core/session.h"
 #include "graph/json_writer.h"
 #include "obs/metrics.h"
 #include "obs/names.h"
@@ -24,6 +28,7 @@
 #include "storage/recovery.h"
 #include "storage/trace_io.h"
 #include "storage/wal.h"
+#include "tests/forwarding_backend.h"
 #include "tests/random_trace_util.h"
 
 namespace aptrace {
@@ -36,8 +41,8 @@ std::string GraphJson(const Executor& exec, const RandomTrace& t) {
 }
 
 /// Everything a run produces that the determinism contract covers.
-/// Real-time measurements (worker latencies, prefetch hit/wait/miss
-/// splits) are timing-dependent by nature and deliberately absent.
+/// Wall-clock measurements are timing-dependent by nature and
+/// deliberately absent.
 struct RunFingerprint {
   std::string graph_json;
   std::vector<UpdateBatch> batches;
@@ -56,12 +61,26 @@ bool operator==(const UpdateBatch& a, const UpdateBatch& b) {
          a.total_nodes == b.total_nodes;
 }
 
-RunFingerprint RunOnce(const RandomTrace& t, const std::string& script,
-                       int scan_threads) {
-  SimClock clock;
-  Executor exec(Ctx(t, script, scan_threads), &clock, 8);
+/// Windows collected per CollectMany on the batched axis (1 = inline).
+constexpr size_t kBatches[] = {2, 7, 64};
+
+/// `MakeRandomTrace` on a 2-shard store whose shards report collect
+/// batch `b`, with the default (non-free) cost model so simulated times
+/// and charges are non-trivial.
+RandomTrace BatchedTrace(uint64_t seed, size_t num_events,
+                         StorageBackendKind backend, size_t b,
+                         size_t shards = 2) {
+  return MakeRandomTrace(seed, num_events, backend, shards,
+                         [b](EventStoreOptions& options) {
+                           options.cost_model = CostModel{};
+                           UseForwardingShards(options, b);
+                         });
+}
+
+RunFingerprint Fingerprint(const Executor& exec, const RandomTrace& t,
+                           const SimClock& clock, StopReason reason) {
   RunFingerprint fp;
-  fp.reason = exec.Run({});
+  fp.reason = reason;
   fp.graph_json = GraphJson(exec, t);
   fp.batches = exec.update_log().batches();
   fp.work_units = exec.stats().work_units;
@@ -73,11 +92,18 @@ RunFingerprint RunOnce(const RandomTrace& t, const std::string& script,
   return fp;
 }
 
+RunFingerprint RunOnce(const RandomTrace& t, const std::string& script) {
+  SimClock clock;
+  Executor exec(Ctx(t, script), &clock, 8);
+  const StopReason reason = exec.Run({});
+  return Fingerprint(exec, t, clock, reason);
+}
+
 void ExpectIdentical(const RunFingerprint& seq, const RunFingerprint& par,
-                     uint64_t seed, int threads, const char* variant) {
+                     uint64_t seed, size_t b, const char* variant) {
   const auto label = [&] {
     return std::string(variant) + " seed=" + std::to_string(seed) +
-           " threads=" + std::to_string(threads);
+           " B=" + std::to_string(b);
   };
   EXPECT_EQ(par.graph_json, seq.graph_json) << label();
   ASSERT_EQ(par.batches.size(), seq.batches.size()) << label();
@@ -96,44 +122,55 @@ void ExpectIdentical(const RunFingerprint& seq, const RunFingerprint& par,
 
 class DifferentialOracle : public testing::TestWithParam<uint64_t> {};
 
-TEST_P(DifferentialOracle, ParallelBitIdenticalToSequential) {
-  const uint64_t seed = GetParam();
-  const RandomTrace t = MakeRandomTrace(seed, 400);
-  const std::string unconstrained = UnconstrainedScript(t);
-  // Spec variants hit the order-sensitive paths: the where filter
-  // mutates excluded_ mid-scan, the hop limit drops windows as stale,
-  // and forward tracking uses the mirrored scan.
-  const struct {
-    const char* name;
-    std::string script;
-  } variants[] = {
-      {"unconstrained", unconstrained},
-      {"where", unconstrained +
-                    " where file.path != \"*.dll\" and "
-                    "proc.exename != \"svc.exe\""},
-      {"hops", unconstrained + " where hop <= 3"},
-  };
+void ExpectSameStoreStats(const StoreStats& got, const StoreStats& want,
+                          const std::string& label) {
+  EXPECT_EQ(got.queries, want.queries) << label;
+  EXPECT_EQ(got.rows_matched, want.rows_matched) << label;
+  EXPECT_EQ(got.rows_filtered, want.rows_filtered) << label;
+  EXPECT_EQ(got.partitions_probed, want.partitions_probed) << label;
+  EXPECT_EQ(got.partitions_seeked, want.partitions_seeked) << label;
+  EXPECT_EQ(got.segments_pruned, want.segments_pruned) << label;
+  EXPECT_EQ(got.simulated_cost, want.simulated_cost) << label;
+}
 
-  for (const auto& variant : variants) {
-    const RunFingerprint seq = RunOnce(t, variant.script, 1);
-    // The sequential run must itself match the independent reference
-    // model (only meaningful for the unconstrained closure).
-    if (variant.script == unconstrained) {
-      SimClock bc;
-      BaselineExecutor baseline(Ctx(t, variant.script), &bc);
-      ASSERT_EQ(baseline.Run({}), StopReason::kCompleted);
-      const auto reference =
-          ReferenceClosure(t, [](ObjectId) { return true; });
-      EXPECT_EQ(EdgeSet(baseline.graph()), reference);
-    }
-    for (const int threads : {2, 4, 8}) {
-      const RunFingerprint par = RunOnce(t, variant.script, threads);
-      ExpectIdentical(seq, par, seed, threads, variant.name);
+TEST_P(DifferentialOracle, BatchedBitIdenticalToInline) {
+  const uint64_t seed = GetParam();
+  for (const StorageBackendKind backend :
+       {StorageBackendKind::kRow, StorageBackendKind::kColumnar}) {
+    const RandomTrace inline_t = BatchedTrace(seed, 400, backend, 1);
+    const std::string unconstrained = UnconstrainedScript(inline_t);
+    // Spec variants hit the order-sensitive paths: the where filter
+    // mutates excluded_ mid-scan, the hop limit drops windows as stale,
+    // and forward tracking uses the mirrored scan.
+    const struct {
+      const char* name;
+      std::string script;
+    } variants[] = {
+        {"unconstrained", unconstrained},
+        {"where", unconstrained +
+                      " where file.path != \"*.dll\" and "
+                      "proc.exename != \"svc.exe\""},
+        {"hops", unconstrained + " where hop <= 3"},
+    };
+    for (const size_t b : kBatches) {
+      const RandomTrace batched = BatchedTrace(seed, 400, backend, b);
+      ASSERT_EQ(batched.store->backend().capabilities().collect_batch, b);
+      for (const auto& variant : variants) {
+        inline_t.store->ResetStats();
+        batched.store->ResetStats();
+        const RunFingerprint want = RunOnce(inline_t, variant.script);
+        const RunFingerprint got = RunOnce(batched, variant.script);
+        const std::string label = std::string(StorageBackendName(backend)) +
+                                  " " + variant.name;
+        ExpectIdentical(want, got, seed, b, label.c_str());
+        ExpectSameStoreStats(batched.store->stats(), inline_t.store->stats(),
+                             label + " B=" + std::to_string(b));
+      }
     }
   }
 }
 
-TEST_P(DifferentialOracle, ParallelMatchesBaselineReachability) {
+TEST_P(DifferentialOracle, BatchedMatchesBaselineReachability) {
   const uint64_t seed = GetParam() ^ 0xd1ff;
   const RandomTrace t = MakeRandomTrace(seed, 350);
   const std::string script = UnconstrainedScript(t);
@@ -142,62 +179,144 @@ TEST_P(DifferentialOracle, ParallelMatchesBaselineReachability) {
   BaselineExecutor baseline(Ctx(t, script), &bc);
   ASSERT_EQ(baseline.Run({}), StopReason::kCompleted);
   const std::set<EventId> expected = EdgeSet(baseline.graph());
+  // The baseline itself matches the independent reference model.
+  EXPECT_EQ(expected, ReferenceClosure(t, [](ObjectId) { return true; }));
 
-  for (const int threads : {2, 4, 8}) {
+  for (const size_t b : kBatches) {
+    const RandomTrace batched =
+        BatchedTrace(seed, 350, DefaultStorageBackendKind(), b);
     SimClock clock;
-    Executor exec(Ctx(t, script, threads), &clock, 8);
+    Executor exec(Ctx(batched, script), &clock, 8);
     ASSERT_EQ(exec.Run({}), StopReason::kCompleted);
     EXPECT_EQ(EdgeSet(exec.graph()), expected)
-        << "seed=" << seed << " threads=" << threads;
+        << "seed=" << seed << " B=" << b;
   }
 }
 
-// Stepped schedules interleave Run/pause cycles with the pool's
-// speculative prefetches (cached prefetches must survive a pause).
-TEST_P(DifferentialOracle, SteppedParallelMatchesOneShotSequential) {
+// Paused schedules: every Run returns after two updates, and collected
+// rows never outlive a Run, so each resume collects afresh.
+TEST_P(DifferentialOracle, SteppedBatchedMatchesOneShotInline) {
   const uint64_t seed = GetParam() ^ 0x57e9;
-  const RandomTrace t = MakeRandomTrace(seed, 300);
-  const std::string script = UnconstrainedScript(t);
-  const RunFingerprint seq = RunOnce(t, script, 1);
+  const RandomTrace inline_t =
+      BatchedTrace(seed, 300, DefaultStorageBackendKind(), 1);
+  const std::string script = UnconstrainedScript(inline_t);
+  const RunFingerprint want = RunOnce(inline_t, script);
 
-  SimClock clock;
-  Executor stepped(Ctx(t, script, 4), &clock, 8);
-  int guard = 0;
-  for (;;) {
-    RunLimits limits;
-    limits.max_updates = 2;
-    const StopReason r = stepped.Run(limits);
-    if (r == StopReason::kCompleted) break;
-    ASSERT_EQ(r, StopReason::kUpdateCap);
-    ASSERT_LT(guard++, 10000);
+  for (const size_t b : kBatches) {
+    const RandomTrace batched =
+        BatchedTrace(seed, 300, DefaultStorageBackendKind(), b);
+    SimClock clock;
+    Executor stepped(Ctx(batched, script), &clock, 8);
+    int guard = 0;
+    StopReason r = StopReason::kUpdateCap;
+    for (;;) {
+      RunLimits limits;
+      limits.max_updates = 2;
+      r = stepped.Run(limits);
+      if (r == StopReason::kCompleted) break;
+      ASSERT_EQ(r, StopReason::kUpdateCap);
+      ASSERT_LT(guard++, 10000);
+    }
+    ExpectIdentical(want, Fingerprint(stepped, batched, clock, r), seed, b,
+                    "stepped");
   }
-  EXPECT_EQ(GraphJson(stepped, t), seq.graph_json) << "seed=" << seed;
-  EXPECT_EQ(stepped.stats().work_units, seq.work_units);
-  EXPECT_EQ(stepped.scan_cost_total(), seq.scan_cost);
+}
+
+// Refine: run part-way, tighten the where filter through the Refiner
+// (the cached graph and queue are pruned and rebuilt), run to the end.
+TEST_P(DifferentialOracle, RefinedBatchedMatchesRefinedInline) {
+  const uint64_t seed = GetParam() ^ 0x4ef1;
+  const auto run = [&](const RandomTrace& t, const std::string& v1,
+                       const std::string& v2) {
+    SimClock clock;
+    Session session(t.store.get(), &clock);
+    EXPECT_TRUE(session.Start(v1, t.alert).ok());
+    RunLimits limits;
+    limits.max_updates = 3;
+    EXPECT_TRUE(session.Step(limits).ok());
+    EXPECT_TRUE(session.UpdateScript(v2).ok());
+    const auto reason = session.Step({});
+    EXPECT_TRUE(reason.ok()) << reason.status();
+    RunFingerprint fp;
+    fp.reason = reason.ok() ? reason.value() : StopReason::kStopped;
+    std::ostringstream os;
+    WriteGraphJson(session.graph(), t.store->catalog(), os);
+    fp.graph_json = os.str();
+    fp.batches = session.update_log().batches();
+    fp.work_units = session.stats().work_units;
+    fp.events_added = session.stats().events_added;
+    fp.events_filtered = session.stats().events_filtered;
+    fp.objects_excluded = session.stats().objects_excluded;
+    fp.sim_elapsed = clock.NowMicros() - session.stats().run_start;
+    return fp;
+  };
+  const RandomTrace inline_t =
+      BatchedTrace(seed, 350, DefaultStorageBackendKind(), 1);
+  const std::string v1 = UnconstrainedScript(inline_t);
+  const std::string v2 = v1 + " where file.path != \"*.dll\"";
+  const RunFingerprint want = run(inline_t, v1, v2);
+  for (const size_t b : kBatches) {
+    const RandomTrace batched =
+        BatchedTrace(seed, 350, DefaultStorageBackendKind(), b);
+    ExpectIdentical(want, run(batched, v1, v2), seed, b, "refined");
+  }
+}
+
+// Checkpoint: run part-way, save, restore into a fresh executor over the
+// same store, run to the end.
+TEST_P(DifferentialOracle, ResumedBatchedMatchesResumedInline) {
+  const uint64_t seed = GetParam() ^ 0xc4e7;
+  const auto run = [&](const RandomTrace& t, const std::string& script) {
+    SimClock clock;
+    std::stringstream saved;
+    {
+      Executor first(Ctx(t, script), &clock, 8);
+      RunLimits limits;
+      limits.max_updates = 3;
+      (void)first.Run(limits);
+      EXPECT_TRUE(first.SaveCheckpoint(saved).ok());
+    }
+    Executor resumed(Ctx(t, script), &clock, 8);
+    EXPECT_TRUE(resumed.RestoreCheckpoint(saved).ok());
+    const StopReason reason = resumed.Run({});
+    return Fingerprint(resumed, t, clock, reason);
+  };
+  const RandomTrace inline_t =
+      BatchedTrace(seed, 350, DefaultStorageBackendKind(), 1);
+  const std::string script = UnconstrainedScript(inline_t);
+  const RunFingerprint want = run(inline_t, script);
+  for (const size_t b : kBatches) {
+    const RandomTrace batched =
+        BatchedTrace(seed, 350, DefaultStorageBackendKind(), b);
+    ExpectIdentical(want, run(batched, script), seed, b, "resumed");
+  }
 }
 
 // Determinism regression: the same trace + spec + seed run twice at
-// threads=8 must yield byte-identical graph JSON and identical
-// deterministic counters, no matter how the OS schedules the workers.
-TEST_P(DifferentialOracle, RepeatedParallelRunsAreByteIdentical) {
+// B = 64 must yield byte-identical graph JSON and identical
+// deterministic counters.
+TEST_P(DifferentialOracle, RepeatedBatchedRunsAreByteIdentical) {
   const uint64_t seed = GetParam() ^ 0xbeef;
-  const RandomTrace t = MakeRandomTrace(seed, 350);
+  const RandomTrace t =
+      BatchedTrace(seed, 350, DefaultStorageBackendKind(), 64);
   const std::string script =
       UnconstrainedScript(t) + " where file.path != \"*.dll\"";
 
-  const RunFingerprint first = RunOnce(t, script, 8);
-  const RunFingerprint second = RunOnce(t, script, 8);
-  EXPECT_EQ(first.graph_json, second.graph_json) << "seed=" << seed;
-  ExpectIdentical(first, second, seed, 8, "repeat");
+  const RunFingerprint first = RunOnce(t, script);
+  const RunFingerprint second = RunOnce(t, script);
+  ExpectIdentical(first, second, seed, 64, "repeat");
 }
 
-// The deterministic executor metrics advance by identical deltas for a
-// parallel and a sequential run (prefetch hit/wait/miss and the latency
-// histograms are timing-dependent and excluded by design).
+// The deterministic executor and store metrics advance by identical
+// deltas for a batched and an inline run (the batch-cache hit counter
+// and the latency histograms are excluded by design).
 TEST_P(DifferentialOracle, DeterministicCountersMatch) {
   const uint64_t seed = GetParam() ^ 0xc0de;
-  const RandomTrace t = MakeRandomTrace(seed, 300);
-  const std::string script = UnconstrainedScript(t);
+  const RandomTrace inline_t =
+      BatchedTrace(seed, 300, DefaultStorageBackendKind(), 1);
+  const RandomTrace batched =
+      BatchedTrace(seed, 300, DefaultStorageBackendKind(), 64);
+  const std::string script = UnconstrainedScript(inline_t);
 
   const char* const counters[] = {
       obs::names::kExecutorWindowsProcessed,
@@ -207,6 +326,8 @@ TEST_P(DifferentialOracle, DeterministicCountersMatch) {
       obs::names::kExecutorScanCostMicros,
       obs::names::kStoreQueries,
       obs::names::kStoreEventsScanned,
+      obs::names::kStoreShardScans,
+      obs::names::kStoreShardFanout,
   };
   const auto snapshot = [&] {
     std::vector<uint64_t> out;
@@ -223,15 +344,15 @@ TEST_P(DifferentialOracle, DeterministicCountersMatch) {
   };
 
   auto before = snapshot();
-  (void)RunOnce(t, script, 1);
-  const auto seq_delta = delta(before, snapshot());
+  (void)RunOnce(inline_t, script);
+  const auto inline_delta = delta(before, snapshot());
 
   before = snapshot();
-  (void)RunOnce(t, script, 8);
-  const auto par_delta = delta(before, snapshot());
+  (void)RunOnce(batched, script);
+  const auto batched_delta = delta(before, snapshot());
 
-  for (size_t i = 0; i < seq_delta.size(); ++i) {
-    EXPECT_EQ(par_delta[i], seq_delta[i])
+  for (size_t i = 0; i < inline_delta.size(); ++i) {
+    EXPECT_EQ(batched_delta[i], inline_delta[i])
         << counters[i] << " seed=" << seed;
   }
 }
@@ -245,22 +366,27 @@ TEST_P(DifferentialOracle, DeterministicCountersMatch) {
 // rows delivered.
 TEST_P(DifferentialOracle, ColumnarBackendBitIdenticalToRow) {
   const uint64_t seed = GetParam() ^ 0x5e67;
-  const RandomTrace row_t =
-      MakeRandomTrace(seed, 350, StorageBackendKind::kRow);
-  const RandomTrace columnar_t =
-      MakeRandomTrace(seed, 350, StorageBackendKind::kColumnar);
-  const std::string script = UnconstrainedScript(row_t);
-  ASSERT_EQ(UnconstrainedScript(columnar_t), script);
-
-  for (const int threads : {1, 4}) {
+  // B = 1 on the default store layout, B = 64 on two batched shards.
+  for (const size_t b : {size_t{1}, size_t{64}}) {
+    const auto make = [&](StorageBackendKind backend) {
+      return b == 1 ? MakeRandomTrace(seed, 350, backend)
+                    : MakeRandomTrace(seed, 350, backend, 2,
+                                      [b](EventStoreOptions& o) {
+                                        UseForwardingShards(o, b);
+                                      });
+    };
+    const RandomTrace row_t = make(StorageBackendKind::kRow);
+    const RandomTrace columnar_t = make(StorageBackendKind::kColumnar);
+    const std::string script = UnconstrainedScript(row_t);
+    ASSERT_EQ(UnconstrainedScript(columnar_t), script);
     const auto label = [&] {
       return std::string("seed=") + std::to_string(seed) +
-             " threads=" + std::to_string(threads);
+             " B=" + std::to_string(b);
     };
     row_t.store->ResetStats();
     columnar_t.store->ResetStats();
-    const RunFingerprint row_fp = RunOnce(row_t, script, threads);
-    const RunFingerprint columnar_fp = RunOnce(columnar_t, script, threads);
+    const RunFingerprint row_fp = RunOnce(row_t, script);
+    const RunFingerprint columnar_fp = RunOnce(columnar_t, script);
 
     EXPECT_EQ(columnar_fp.graph_json, row_fp.graph_json) << label();
     ASSERT_EQ(columnar_fp.batches.size(), row_fp.batches.size()) << label();
@@ -337,21 +463,23 @@ TEST_P(DifferentialOracle, ShardedStoreBitIdenticalToMonolithic) {
     const std::string script = UnconstrainedScript(mono);
 
     for (const size_t shards : {size_t{2}, size_t{4}, size_t{8}}) {
-      const RandomTrace sharded = MakeRandomTrace(seed, 350, backend, shards);
-      ASSERT_EQ(UnconstrainedScript(sharded), script);
-      ASSERT_EQ(sharded.store->shard_count(), shards);
-
-      for (const int threads : {1, 4}) {
+      for (const size_t b : {size_t{1}, size_t{64}}) {
+        const RandomTrace sharded = MakeRandomTrace(
+            seed, 350, backend, shards, [b](EventStoreOptions& o) {
+              if (b > 1) UseForwardingShards(o, b);
+            });
+        ASSERT_EQ(UnconstrainedScript(sharded), script);
+        ASSERT_EQ(sharded.store->shard_count(), shards);
         const auto label = [&] {
           return std::string(StorageBackendName(backend)) +
                  " seed=" + std::to_string(seed) +
                  " shards=" + std::to_string(shards) +
-                 " threads=" + std::to_string(threads);
+                 " B=" + std::to_string(b);
         };
         mono.store->ResetStats();
         sharded.store->ResetStats();
-        const RunFingerprint want = RunOnce(mono, script, threads);
-        const RunFingerprint got = RunOnce(sharded, script, threads);
+        const RunFingerprint want = RunOnce(mono, script);
+        const RunFingerprint got = RunOnce(sharded, script);
 
         EXPECT_EQ(got.graph_json, want.graph_json) << label();
         ASSERT_EQ(got.batches.size(), want.batches.size()) << label();
@@ -394,6 +522,7 @@ TEST_P(DifferentialOracle, ShardedRecoveredStoreBitIdenticalToUninterrupted) {
   const uint64_t seed = GetParam() ^ 0x5dad;
   FileEnv* env = FileEnv::Posix();
   constexpr size_t kShards = 4;
+  constexpr size_t kRecoveredBatch = 7;
 
   for (const StorageBackendKind backend :
        {StorageBackendKind::kRow, StorageBackendKind::kColumnar}) {
@@ -454,6 +583,8 @@ TEST_P(DifferentialOracle, ShardedRecoveredStoreBitIdenticalToUninterrupted) {
     options.cost_model = CostModel::Free();
     options.backend = backend;
     options.shards = kShards;
+    // The recovered store collects in batches; the reference inline.
+    UseForwardingShards(options, kRecoveredBatch);
     auto recovered = OpenDataDir(env, dir, trace_path, options);
     ASSERT_TRUE(recovered.ok()) << recovered.status();
     EXPECT_EQ(recovered->wal.batches_applied, batches.size());
@@ -464,27 +595,27 @@ TEST_P(DifferentialOracle, ShardedRecoveredStoreBitIdenticalToUninterrupted) {
     rec.events = ref.events;
     rec.alert = ref.alert;
 
-    for (const int threads : {1, 4}) {
-      const RunFingerprint want = RunOnce(ref, script, threads);
-      const RunFingerprint unsealed = RunOnce(rec, script, threads);
-      ExpectIdentical(want, unsealed, seed, threads,
+    {
+      const RunFingerprint want = RunOnce(ref, script);
+      const RunFingerprint unsealed = RunOnce(rec, script);
+      ExpectIdentical(want, unsealed, seed, kRecoveredBatch,
                       StorageBackendName(backend));
       // And the sharded answer equals the monolithic one.
-      const RunFingerprint mono_fp = RunOnce(mono, script, threads);
+      const RunFingerprint mono_fp = RunOnce(mono, script);
       EXPECT_EQ(unsealed.graph_json, mono_fp.graph_json)
           << StorageBackendName(backend) << " seed=" << seed
-          << " threads=" << threads;
+          << " B=" << kRecoveredBatch;
     }
 
     rec.store->SealTail(nullptr);
     EXPECT_EQ(rec.store->TailRows(), 0u);
-    for (const int threads : {1, 4}) {
-      const RunFingerprint want = RunOnce(ref, script, threads);
-      const RunFingerprint sealed = RunOnce(rec, script, threads);
+    {
+      const RunFingerprint want = RunOnce(ref, script);
+      const RunFingerprint sealed = RunOnce(rec, script);
       const std::string label = std::string("sealed ") +
                                 StorageBackendName(backend) +
                                 " seed=" + std::to_string(seed) +
-                                " threads=" + std::to_string(threads);
+                                " B=" + std::to_string(kRecoveredBatch);
       EXPECT_EQ(sealed.graph_json, want.graph_json) << label;
       EXPECT_EQ(sealed.reason, want.reason) << label;
       EXPECT_EQ(sealed.events_added, want.events_added) << label;
@@ -502,8 +633,9 @@ TEST_P(DifferentialOracle, ShardedRecoveredStoreBitIdenticalToUninterrupted) {
 // invisible to analysis. The executor over a store recovered from a data
 // dir (base snapshot + WAL replay + torn-tail repair) is bit-identical
 // to the executor over the uninterrupted in-memory store that never
-// crashed — across {row, columnar} backends and scan_threads {1, 4},
-// before and after the recovered tail is sealed into segments.
+// crashed — across {row, columnar} backends, before and after the
+// recovered tail is sealed into segments. (The sharded variant above
+// runs its recovered store at B = 7.)
 TEST_P(DifferentialOracle, RecoveredStoreBitIdenticalToUninterrupted) {
   const uint64_t seed = GetParam() ^ 0xdead;
   FileEnv* env = FileEnv::Posix();
@@ -577,12 +709,12 @@ TEST_P(DifferentialOracle, RecoveredStoreBitIdenticalToUninterrupted) {
     rec.events = ref.events;
     rec.alert = ref.alert;
 
-    for (const int threads : {1, 4}) {
-      const RunFingerprint want = RunOnce(ref, script, threads);
+    {
+      const RunFingerprint want = RunOnce(ref, script);
       // Recovered, tail still hot: identical physical layout, so every
       // fingerprint field must match, simulated charges included.
-      const RunFingerprint unsealed = RunOnce(rec, script, threads);
-      ExpectIdentical(want, unsealed, seed, threads,
+      const RunFingerprint unsealed = RunOnce(rec, script);
+      ExpectIdentical(want, unsealed, seed, 1,
                       StorageBackendName(backend));
     }
 
@@ -592,13 +724,13 @@ TEST_P(DifferentialOracle, RecoveredStoreBitIdenticalToUninterrupted) {
     // legitimately change.
     rec.store->SealTail(nullptr);
     EXPECT_EQ(rec.store->TailRows(), 0u);
-    for (const int threads : {1, 4}) {
-      const RunFingerprint want = RunOnce(ref, script, threads);
-      const RunFingerprint sealed = RunOnce(rec, script, threads);
+    {
+      const RunFingerprint want = RunOnce(ref, script);
+      const RunFingerprint sealed = RunOnce(rec, script);
       const std::string label = std::string("sealed ") +
                                 StorageBackendName(backend) +
                                 " seed=" + std::to_string(seed) +
-                                " threads=" + std::to_string(threads);
+                                " B=1";
       EXPECT_EQ(sealed.graph_json, want.graph_json) << label;
       ASSERT_EQ(sealed.batches.size(), want.batches.size()) << label;
       for (size_t i = 0; i < want.batches.size(); ++i) {

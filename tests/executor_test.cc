@@ -10,7 +10,7 @@
 #include "bdl/analyzer.h"
 #include "obs/metrics.h"
 #include "obs/names.h"
-#include "storage/row_store_backend.h"
+#include "tests/forwarding_backend.h"
 #include "tests/test_trace.h"
 
 namespace aptrace {
@@ -308,71 +308,18 @@ TEST_F(ExecutorTest, ResolveContextNotFound) {
   EXPECT_EQ(ctx.status().code(), StatusCode::kNotFound);
 }
 
-/// A row store shard that counts its point lookups.
-class GetCountingBackend final : public StorageBackend {
- public:
-  GetCountingBackend(const EventStoreOptions& options,
-                     std::atomic<size_t>* gets)
-      : StorageBackend(StorageBackendKind::kRow, options.cost_model),
-        inner_(options.cost_model, options.partition_micros),
-        gets_(gets) {}
-
-  const BackendCapabilities& capabilities() const override {
-    return inner_.capabilities();
-  }
-  EventId Append(Event event) override {
-    NoteAppend(event);
-    return inner_.Append(std::move(event));
-  }
-  void Seal() override {
-    inner_.Seal();
-    MarkSealed(inner_.NumEvents() == 0);
-  }
-  size_t NumEvents() const override { return inner_.NumEvents(); }
-  Event Get(EventId id) const override {
-    gets_->fetch_add(1);
-    return inner_.Get(id);
-  }
-  RangeScanBatch CollectDest(ObjectId dest, TimeMicros begin,
-                             TimeMicros end) const override {
-    return inner_.CollectDest(dest, begin, end);
-  }
-  RangeScanBatch CollectSrc(ObjectId src, TimeMicros begin,
-                            TimeMicros end) const override {
-    return inner_.CollectSrc(src, begin, end);
-  }
-  RangeScanBatch CollectRange(TimeMicros begin, TimeMicros end) const override {
-    return inner_.CollectRange(begin, end);
-  }
-  bool HasIncomingWrite(ObjectId object, TimeMicros begin,
-                        TimeMicros end) const override {
-    return inner_.HasIncomingWrite(object, begin, end);
-  }
-  std::vector<ObjectId> FlowDestsOf(ObjectId src, TimeMicros begin,
-                                    TimeMicros end) const override {
-    return inner_.FlowDestsOf(src, begin, end);
-  }
-
- private:
-  RowStoreBackend inner_;
-  std::atomic<size_t>* gets_;
-};
-
 // Scans deliver whole rows and every graph edge keeps its row, so an
 // investigation over a sharded store — replay, the maintainer's state
 // cascade, and Finish's re-propagation — never looks a row up by id.
 TEST(ScanRowsTest, InvestigationNeverLooksRowsUpById) {
-  std::atomic<size_t> gets{0};
+  ForwardingCounters counters;
   EventStoreOptions options;
   options.shards = 2;
-  options.shard_backend_factory =
-      [&gets](size_t, const EventStoreOptions& o)
-      -> std::unique_ptr<StorageBackend> {
-    return std::make_unique<GetCountingBackend>(o, &gets);
-  };
+  UseForwardingShards(options, /*collect_batch=*/0, &counters);
   const MiniTrace trace = MakeMiniTrace(CostModel::Free(), options);
   ASSERT_EQ(trace.store->shard_count(), 2u);
   const Event alert = trace.store->Get(trace.alert_event);
+  std::atomic<size_t>& gets = counters.gets;
   gets = 0;
 
   SimClock clock;
@@ -391,6 +338,52 @@ TEST(ScanRowsTest, InvestigationNeverLooksRowsUpById) {
   ASSERT_TRUE(session.Finish(true).ok());
   EXPECT_TRUE(session.graph().HasNode(trace.mail_sock));
   EXPECT_EQ(gets.load(), 0u);
+}
+
+// At B > 1 the executor collects a popped window together with the next
+// queued ones in one CollectMany, so each shard sees far fewer calls
+// than one per window, later windows are served from the batch, and the
+// graph is the one the inline path (B = 1) builds.
+TEST(ScanRowsTest, BatchedCollectsCallEachShardOncePerBatch) {
+  const auto run = [](size_t collect_batch, ForwardingCounters* counters,
+                      uint64_t* hits) {
+    EventStoreOptions options;
+    options.shards = 2;
+    UseForwardingShards(options, collect_batch, counters);
+    const MiniTrace trace = MakeMiniTrace(CostModel{}, options);
+    SimClock clock;
+    Session session(trace.store.get(), &clock);
+    EXPECT_TRUE(session
+                    .StartWithSpec(Spec("backward ip x[dst_ip = "
+                                        "\"185.220.101.45\"] -> *"),
+                                   trace.store->Get(trace.alert_event))
+                    .ok());
+    counters->collect_many = 0;
+    obs::Counter* hit_counter = obs::Metrics().FindOrCreateCounter(
+        obs::names::kExecutorPrefetchHits);
+    const uint64_t hits0 = hit_counter->value();
+    const auto stopped = session.Step({});
+    EXPECT_TRUE(stopped.ok()) << stopped.status();
+    *hits = hit_counter->value() - hits0;
+    return std::make_pair(EdgeSet(session.graph()),
+                          session.stats().work_units);
+  };
+  ForwardingCounters inline_calls;
+  ForwardingCounters batched_calls;
+  uint64_t inline_hits = 0;
+  uint64_t batched_hits = 0;
+  const auto want = run(1, &inline_calls, &inline_hits);
+  const auto got = run(64, &batched_calls, &batched_hits);
+  EXPECT_EQ(got, want);
+  ASSERT_GT(want.second, 8u);
+  EXPECT_EQ(inline_hits, 0u);
+  EXPECT_GT(batched_hits, 0u);
+  // Inline, every window whose object has rows costs a call per shard
+  // holding them; batched, a call per shard per batch.
+  EXPECT_LE(batched_calls.collect_many.load() * 4,
+            inline_calls.collect_many.load())
+      << batched_calls.collect_many.load() << " batched vs "
+      << inline_calls.collect_many.load() << " inline calls";
 }
 
 }  // namespace

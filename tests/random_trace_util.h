@@ -164,14 +164,11 @@ inline bdl::TrackingSpec Spec(const std::string& text) {
   return spec.ok() ? std::move(spec.value()) : bdl::TrackingSpec{};
 }
 
-inline TrackingContext Ctx(const RandomTrace& t, const std::string& script,
-                           int scan_threads = 1) {
+inline TrackingContext Ctx(const RandomTrace& t, const std::string& script) {
   SimClock clock;
   auto ctx = ResolveContext(*t.store, Spec(script), &clock, t.alert);
   EXPECT_TRUE(ctx.ok()) << ctx.status();
-  TrackingContext out = ctx.ok() ? std::move(ctx.value()) : TrackingContext{};
-  out.scan_threads = scan_threads;
-  return out;
+  return ctx.ok() ? std::move(ctx.value()) : TrackingContext{};
 }
 
 inline std::string UnconstrainedScript(const RandomTrace& t) {

@@ -40,12 +40,9 @@ using testing_support::MiniTrace;
 /// script run to completion through a plain Session (what `aptrace run`
 /// does), finalized with the same prune.
 std::string DirectRunGraph(const EventStore& store, const std::string& script,
-                           int scan_threads,
                            std::optional<Event> start_override) {
   SimClock clock;
-  SessionOptions options;
-  options.scan_threads = scan_threads;
-  Session session(&store, &clock, options);
+  Session session(&store, &clock);
   EXPECT_TRUE(session.Start(script, start_override).ok());
   auto reason = session.Step();
   EXPECT_TRUE(reason.ok());
@@ -71,7 +68,7 @@ TEST(ServiceTest, HostedSessionMatchesDirectRun) {
   MiniTrace t = MakeMiniTrace();
   const std::string script = "backward ip x[dst_ip = \"185.220.101.45\"] -> *";
   const std::string expected =
-      DirectRunGraph(*t.store, script, 1, std::nullopt);
+      DirectRunGraph(*t.store, script, std::nullopt);
 
   SessionManager manager(t.store.get(), ServiceLimits{});
   auto id = manager.Open(script, {});
@@ -205,7 +202,7 @@ TEST(ServiceTest, BackpressureStallsUntilPolled) {
   limits.update_buffer_cap = 1;
   SessionManager manager(t.store.get(), limits);
   const std::string expected =
-      DirectRunGraph(*t.store, UnconstrainedScript(t), 1, t.alert);
+      DirectRunGraph(*t.store, UnconstrainedScript(t), t.alert);
 
   OpenOptions opts;
   opts.start_event = t.alert.id;
@@ -449,7 +446,7 @@ TEST(ServiceTest, DrainRejectsNewWorkAndStaysCheckpointable) {
 TEST(ServiceTest, CheckpointResumeMatchesUninterruptedRun) {
   RandomTrace t = MakeRandomTrace(18, 400);
   const std::string script = UnconstrainedScript(t);
-  const std::string expected = DirectRunGraph(*t.store, script, 1, t.alert);
+  const std::string expected = DirectRunGraph(*t.store, script, t.alert);
   const std::string path =
       testing::TempDir() + "aptrace_service_resume.ckpt";
 
@@ -687,7 +684,7 @@ TEST(ServiceServerTest, CheckpointRestartResumeOverProtocol) {
   const std::string script_json =
       "backward ip x[dst_ip = \\\"185.220.101.45\\\"] -> *";
   const std::string expected =
-      DirectRunGraph(*t.store, script, 1, std::nullopt);
+      DirectRunGraph(*t.store, script, std::nullopt);
   const std::string socket_path =
       testing::TempDir() + "aptrace_svc_test.sock";
   const std::string ckpt_path =

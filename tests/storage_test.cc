@@ -631,6 +631,98 @@ TEST_P(ShardEquivalenceTest, ShardedMatchesMonolithic) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ShardEquivalenceTest,
                          testing::Values(7, 17, 27));
 
+/// Exact batch equality: rows, probe counters and per-shard slices.
+void ExpectSameBatch(const RangeScanBatch& got, const RangeScanBatch& want,
+                     const std::string& label) {
+  EXPECT_EQ(got.rows, want.rows) << label;
+  EXPECT_EQ(got.partitions_probed, want.partitions_probed) << label;
+  EXPECT_EQ(got.partitions_seeked, want.partitions_seeked) << label;
+  EXPECT_EQ(got.segments_pruned, want.segments_pruned) << label;
+  ASSERT_EQ(got.shard_slices.size(), want.shard_slices.size()) << label;
+  for (size_t i = 0; i < want.shard_slices.size(); ++i) {
+    const ShardScanSlice& g = got.shard_slices[i];
+    const ShardScanSlice& w = want.shard_slices[i];
+    EXPECT_EQ(g.shard, w.shard) << label << " slice " << i;
+    EXPECT_EQ(g.rows, w.rows) << label << " slice " << i;
+    EXPECT_EQ(g.partitions_probed, w.partitions_probed)
+        << label << " slice " << i;
+    EXPECT_EQ(g.partitions_seeked, w.partitions_seeked)
+        << label << " slice " << i;
+    EXPECT_EQ(g.segments_pruned, w.segments_pruned) << label << " slice " << i;
+    EXPECT_EQ(g.boundary_rows, w.boundary_rows) << label << " slice " << i;
+  }
+}
+
+class CollectManyTest : public testing::TestWithParam<uint64_t> {};
+
+// For random probe lists, one CollectMany answers each probe exactly as
+// the matching single Collect* does — rows, probe counters and shard
+// slices — on the row and columnar layouts, monolithic and sharded.
+TEST_P(CollectManyTest, EqualsPerProbeCollects) {
+  for (const size_t shards : {size_t{1}, size_t{2}, size_t{4}}) {
+    for (const StorageBackendKind backend :
+         {StorageBackendKind::kRow, StorageBackendKind::kColumnar}) {
+      EventStoreOptions options;
+      options.partition_micros = 1000;
+      options.segment_rows = 32;
+      options.backend = backend;
+      options.shards = shards;
+      EventStore store(options);
+      Rng rng(GetParam());
+      ObjectCatalog& c = store.catalog();
+      const std::vector<HostId> hosts = {c.InternHost("h1"),
+                                         c.InternHost("h2")};
+      std::vector<ObjectId> keys;
+      for (int i = 0; i < 5; ++i) {
+        keys.push_back(c.AddProcess(hosts[i % 2], {.exename = "p"}));
+      }
+      for (int i = 0; i < 8; ++i) {
+        keys.push_back(c.AddFile(hosts[i % 2], {.path = "/f"}));
+      }
+      for (int i = 0; i < 500; ++i) {
+        store.Append(MakeEvent(keys[rng.Uniform(5)],
+                               keys[5 + rng.Uniform(8)],
+                               static_cast<TimeMicros>(rng.Uniform(40000)),
+                               rng.Bernoulli(0.5) ? ActionType::kWrite
+                                                  : ActionType::kRead,
+                               hosts[rng.Uniform(2)]));
+      }
+      store.Seal();
+      EXPECT_TRUE(store.CollectMany({}).empty());
+
+      for (int trial = 0; trial < 12; ++trial) {
+        std::vector<CollectProbe> probes(1 + rng.Uniform(40));
+        for (CollectProbe& p : probes) {
+          p.kind = static_cast<ProbeKind>(rng.Uniform(3));
+          if (p.kind != ProbeKind::kRange) {
+            p.key = keys[rng.Uniform(keys.size())];
+          }
+          p.begin = static_cast<TimeMicros>(rng.Uniform(42000));
+          p.end = p.begin + static_cast<TimeMicros>(rng.Uniform(9000));
+        }
+        const std::vector<RangeScanBatch> many = store.CollectMany(probes);
+        ASSERT_EQ(many.size(), probes.size());
+        for (size_t i = 0; i < probes.size(); ++i) {
+          const CollectProbe& p = probes[i];
+          const RangeScanBatch one =
+              p.kind == ProbeKind::kDest  ? store.CollectDest(p.key, p.begin,
+                                                              p.end)
+              : p.kind == ProbeKind::kSrc ? store.CollectSrc(p.key, p.begin,
+                                                             p.end)
+                                          : store.CollectRange(p.begin, p.end);
+          ExpectSameBatch(many[i], one,
+                          std::string(StorageBackendName(backend)) +
+                              " shards=" + std::to_string(shards) +
+                              " trial=" + std::to_string(trial) +
+                              " probe=" + std::to_string(i));
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CollectManyTest, testing::Values(3, 31, 313));
+
 // Boundary rows: delivered rows whose recording host differs from the
 // probed object's catalog host (cross-host flows through shared objects
 // like sockets). They surface per slice, per shard, and in the store

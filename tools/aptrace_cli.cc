@@ -15,10 +15,6 @@
 //       and write the requested outputs.
 //         --baseline          use the execute-to-complete engine
 //         --k=N               execution-window count (default 8)
-//         --threads=N         scan worker threads (default 1, the
-//                             sequential path; N > 1 prefetches window
-//                             scans, which pays only over a remote shard
-//                             fleet; results are identical for any N)
 //         --backend=row|columnar
 //                             storage backend (default: APTRACE_BACKEND
 //                             env var, else row); graph output is
@@ -85,7 +81,6 @@
 #include "storage/trace_io.h"
 #include "tools/aptrace_shell.h"
 #include "util/string_util.h"
-#include "util/worker_pool.h"
 #include "workload/scenario.h"
 
 namespace aptrace {
@@ -105,7 +100,6 @@ struct Flags {
   std::string sim_limit;
   size_t max_updates = 0;
   int k = 8;
-  int threads = 1;  // scan workers; 1 = sequential path
   int train_days = -1;
   StorageBackendKind backend = DefaultStorageBackendKind();
   size_t shards = DefaultShardCount();
@@ -124,35 +118,6 @@ bool TakeValue(const char* arg, const char* name, std::string* out) {
     return true;
   }
   return false;
-}
-
-/// Validates a `--threads` value: a positive integer, clamped to the
-/// worker pool's ceiling with a warning when larger. Scan workers
-/// prefetch simulated I/O, so exceeding the machine's core count is
-/// allowed (output is bit-identical at any thread count); only the pool
-/// ceiling is enforced. Diagnostics follow the BDL renderer's
-/// `severity[CODE]` convention so scripted callers can grep for the code.
-bool ParseThreads(const std::string& value, int* out) {
-  char* end = nullptr;
-  const long n = std::strtol(value.c_str(), &end, 10);
-  if (value.empty() || *end != '\0' || n < 1) {
-    std::fprintf(stderr,
-                 "--threads: error[CLI-E001]: expected a positive integer "
-                 "thread count, got '%s'\n",
-                 value.c_str());
-    return false;
-  }
-  constexpr long kCeiling = WorkerPool::kMaxThreads;
-  if (n > kCeiling) {
-    std::fprintf(stderr,
-                 "--threads: warning[CLI-W001]: %ld exceeds the scan pool "
-                 "ceiling of %ld thread(s); clamping to %ld\n",
-                 n, kCeiling, kCeiling);
-    *out = static_cast<int>(kCeiling);
-  } else {
-    *out = static_cast<int>(n);
-  }
-  return true;
 }
 
 /// Validates a `--backend` value against the storage layer's registry.
@@ -244,8 +209,6 @@ Flags ParseFlags(int argc, char** argv) {
       f.train_days = std::atoi(v.c_str());
     } else if (TakeValue(a, "--k", &v)) {
       f.k = std::atoi(v.c_str());
-    } else if (TakeValue(a, "--threads", &v)) {
-      if (!ParseThreads(v, &f.threads)) f.command.clear();
     } else if (TakeValue(a, "--backend", &v)) {
       if (!ParseBackend(v, &f.backend)) f.command.clear();
     } else if (TakeValue(a, "--shards", &v)) {
@@ -359,7 +322,6 @@ int CmdRun(const Flags& flags) {
   SessionOptions options;
   options.use_baseline = flags.baseline;
   options.num_windows_k = flags.k;
-  options.scan_threads = flags.threads;
   Session session(store.value().get(), &clock, options);
   if (auto s = session.Start(script.str()); !s.ok()) {
     std::fprintf(stderr, "%s\n", s.ToString().c_str());
@@ -480,7 +442,6 @@ int CmdInvestigate(const Flags& flags) {
   SimClock clock;
   SessionOptions options;
   options.num_windows_k = flags.k;
-  options.scan_threads = flags.threads;
   Session session(built->store.get(), &clock, options);
   const auto found = [&] {
     return workload::ChainRecovered(session.graph(), scenario);
@@ -578,10 +539,7 @@ int CmdShell(const Flags& flags) {
     std::fprintf(stderr, "%s\n", store.status().ToString().c_str());
     return 1;
   }
-  tools::ShellOptions shell_options;
-  shell_options.scan_threads = flags.threads;
-  return tools::RunShell(store.value().get(), std::cin, std::cout,
-                         shell_options);
+  return tools::RunShell(store.value().get(), std::cin, std::cout);
 }
 
 int Main(int argc, char** argv) {

@@ -45,15 +45,12 @@ constexpr char kHelp[] =
 
 struct ShellState {
   EventStore* store = nullptr;
-  ShellOptions options;
   SimClock clock;
   std::unique_ptr<Session> session;
   bool session_started = false;
 
   Session* NewSession() {
-    SessionOptions session_options;
-    session_options.scan_threads = options.scan_threads;
-    session = std::make_unique<Session>(store, &clock, session_options);
+    session = std::make_unique<Session>(store, &clock);
     session_started = false;
     return session.get();
   }
@@ -88,9 +85,6 @@ void PrintStatus(ShellState& st, std::ostream& out) {
   out << "direction: " << bdl::TrackDirectionName(snap.direction)
       << ", start node " << st.store->catalog().Get(snap.start_node).Label()
       << "\n";
-  if (snap.scan_threads > 1) {
-    out << "scan threads: " << snap.scan_threads << "\n";
-  }
   if (st.store->shard_count() > 1) {
     out << "store shards: " << st.store->shard_count()
         << " (scatter-gather scans; see docs/sharding.md)\n";
@@ -109,11 +103,9 @@ void Step(ShellState& st, std::ostream& out, const RunLimits& limits) {
 
 }  // namespace
 
-int RunShell(EventStore* store, std::istream& in, std::ostream& out,
-             ShellOptions options) {
+int RunShell(EventStore* store, std::istream& in, std::ostream& out) {
   ShellState st;
   st.store = store;
-  st.options = options;
   // Interactive sessions record spans so `trace-dump` always has data;
   // the per-command cost is noise at analyst speed.
   obs::Tracer::Global().SetEnabled(true);

@@ -7,13 +7,6 @@
 
 namespace aptrace::tools {
 
-/// Execution knobs forwarded to every Session the shell creates.
-struct ShellOptions {
-  /// Scan worker threads for the responsive engine (1 = sequential, 0 =
-  /// hardware concurrency). Results are identical either way.
-  int scan_threads = 1;
-};
-
 /// The interactive analyst console (`aptrace shell --trace=...`): the
 /// paper's monitor / pause / refine / resume loop at a prompt. Reads
 /// commands from `in`, writes to `out`; returns the exit code. Scriptable
@@ -33,8 +26,7 @@ struct ShellOptions {
 ///   fmt                  print the current script, canonically formatted
 ///   help                 this list
 ///   quit
-int RunShell(EventStore* store, std::istream& in, std::ostream& out,
-             ShellOptions options = {});
+int RunShell(EventStore* store, std::istream& in, std::ostream& out);
 
 }  // namespace aptrace::tools
 
