@@ -8,8 +8,9 @@
 // query returns — so the bench doubles as a process-level determinism
 // gate and exits nonzero on any divergence. The interesting number is
 // the wall-clock ratio: what RPC fan-out over loopback costs relative
-// to an in-process index walk, with the store's dedicated fan-out
-// threads overlapping the per-shard round-trips. The bench also reports
+// to an in-process index walk, with the store sending every probed
+// shard its request before it reads any reply, so the per-shard round
+// trips overlap on the calling thread. The bench also reports
 // shard RPCs per processed window (the executor collects windows in
 // batches over a fleet, so this sits far below one) and compares the
 // wall ratio with the 3x fleet target without gating on it.
@@ -139,8 +140,7 @@ int Main(int argc, char** argv) {
   }
 
   // Same generator, same seed — but every shard is a daemon.
-  config.store_tweak = [&endpoints, shards](EventStoreOptions& options) {
-    options.dist_fanout_threads = shards;
+  config.store_tweak = [&endpoints](EventStoreOptions& options) {
     options.shard_backend_factory =
         [&endpoints](size_t shard, const EventStoreOptions& o)
         -> std::unique_ptr<StorageBackend> {

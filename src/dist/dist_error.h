@@ -37,9 +37,8 @@ inline constexpr char kDistErrAppend[] = "DST-E007";
 ///
 /// Header-only on purpose: layers below src/dist/ participate in the
 /// failure path without linking the transport — the sharded store's
-/// scatter-gather aggregates per-shard failures (caught on its fan-out
-/// threads) into one DST-E005, it unwinds through the executor's
-/// batched collect, and
+/// scatter-gather aggregates per-shard failures into one DST-E005, it
+/// unwinds through the executor's batched collect, and
 /// Session::Step catches it and turns it into the typed Status the
 /// SessionManager reports as the session's failure detail (state
 /// "failed", detail "DST-E00x: ..."). That is the degraded mode: a dead

@@ -23,6 +23,52 @@ std::string DecodeReplyField(const service::JsonValue& resp,
   return std::move(bytes).value();
 }
 
+/// Appends to `out` the `probes` batches of one shard.collect_many
+/// reply. Throws DistError(DST-E003) on a reply that does not carry one
+/// counter record per probe with row counts that cover its rows exactly.
+void SplitCollectReply(const service::JsonValue& resp, size_t probes,
+                       std::vector<RangeScanBatch>* out) {
+  auto rows = DecodeRows(DecodeReplyField(resp, "rows"));
+  if (!rows.ok()) {
+    throw DistError(kDistErrProtocol, rows.status().message());
+  }
+  if (rows.value().size() != resp.GetUint("count")) {
+    throw DistError(kDistErrProtocol,
+                    "collect payload row count disagrees with the "
+                    "declared count");
+  }
+  auto counters = DecodeU64s(DecodeReplyField(resp, "probes"));
+  if (!counters.ok() || counters.value().size() != probes * kProbeCounters) {
+    throw DistError(kDistErrProtocol,
+                    "collect reply does not carry one counter record "
+                    "per probe");
+  }
+  // Split the rows by the per-probe counts, which must cover them
+  // exactly; each count is checked against the rows left, so a hostile
+  // count can neither overflow a sum nor index past the rows.
+  const std::vector<uint64_t>& c = counters.value();
+  const std::vector<Event>& all = rows.value();
+  size_t taken = 0;
+  size_t split = 0;
+  for (; split < probes; ++split) {
+    const uint64_t* rec = &c[split * kProbeCounters];
+    if (rec[0] > all.size() - taken) break;
+    RangeScanBatch batch;
+    const auto first = all.begin() + static_cast<std::ptrdiff_t>(taken);
+    taken += rec[0];
+    batch.rows.assign(first, all.begin() + static_cast<std::ptrdiff_t>(taken));
+    batch.partitions_probed = rec[1];
+    batch.partitions_seeked = rec[2];
+    batch.segments_pruned = rec[3];
+    out->push_back(std::move(batch));
+  }
+  if (split != probes || taken != all.size()) {
+    throw DistError(kDistErrProtocol,
+                    "collect reply's per-probe row counts do not sum to "
+                    "its " + std::to_string(all.size()) + " rows");
+  }
+}
+
 }  // namespace
 
 RemoteShardBackend::RemoteShardBackend(std::shared_ptr<ShardClient> client,
@@ -36,14 +82,10 @@ const BackendCapabilities& RemoteShardBackend::capabilities() const {
   // Mirrors of the concrete backends' capability blocks: the remote
   // daemon hosts exactly one of these kinds, verified at handshake.
   static const BackendCapabilities kRowCaps = {
-      .streaming_append = true,
-      .zone_map_pruning = false,
       .probe_unit = "time partition",
       .collect_batch = kCollectBatch,
   };
   static const BackendCapabilities kColumnarCaps = {
-      .streaming_append = true,
-      .zone_map_pruning = true,
       .probe_unit = "column segment",
       .collect_batch = kCollectBatch,
   };
@@ -113,60 +155,28 @@ Event RemoteShardBackend::Get(EventId id) const {
   return rows.value()[0];
 }
 
-std::vector<RangeScanBatch> RemoteShardBackend::CollectMany(
+FinishCollect RemoteShardBackend::StartCollectMany(
     std::span<const CollectProbe> probes) const {
-  std::vector<RangeScanBatch> out;
-  out.reserve(probes.size());
+  // Every request is sent before any reply is read. PendingCall is
+  // move-only and std::function must be copyable, hence the shared_ptr.
+  auto calls = std::make_shared<std::vector<ShardClient::PendingCall>>();
   for (size_t off = 0; off < probes.size(); off += kMaxCollectProbes) {
     const std::span<const CollectProbe> chunk = probes.subspan(
         off, std::min(kMaxCollectProbes, probes.size() - off));
     obs::JsonDict fields;
     fields.Add("probes", Base64Encode(EncodeProbes(chunk)));
     fields.Add("count", static_cast<uint64_t>(chunk.size()));
-    const service::JsonValue resp =
-        client_->Call("shard.collect_many", fields);
-    auto rows = DecodeRows(DecodeReplyField(resp, "rows"));
-    if (!rows.ok()) {
-      throw DistError(kDistErrProtocol, rows.status().message());
-    }
-    if (rows.value().size() != resp.GetUint("count")) {
-      throw DistError(kDistErrProtocol,
-                      "collect payload row count disagrees with the "
-                      "declared count");
-    }
-    auto counters = DecodeU64s(DecodeReplyField(resp, "probes"));
-    if (!counters.ok() ||
-        counters.value().size() != chunk.size() * kProbeCounters) {
-      throw DistError(kDistErrProtocol,
-                      "collect reply does not carry one counter record "
-                      "per probe");
-    }
-    // Split the rows by the per-probe counts, which must cover them
-    // exactly; each count is checked against the rows left, so a hostile
-    // count can neither overflow a sum nor index past the rows.
-    const std::vector<uint64_t>& c = counters.value();
-    const std::vector<Event>& all = rows.value();
-    size_t taken = 0;
-    for (size_t i = 0; i < chunk.size(); ++i) {
-      const uint64_t* rec = &c[i * kProbeCounters];
-      if (rec[0] > all.size() - taken) break;
-      RangeScanBatch batch;
-      const auto first = all.begin() + static_cast<std::ptrdiff_t>(taken);
-      taken += rec[0];
-      batch.rows.assign(first,
-                        all.begin() + static_cast<std::ptrdiff_t>(taken));
-      batch.partitions_probed = rec[1];
-      batch.partitions_seeked = rec[2];
-      batch.segments_pruned = rec[3];
-      out.push_back(std::move(batch));
-    }
-    if (out.size() != off + chunk.size() || taken != all.size()) {
-      throw DistError(kDistErrProtocol,
-                      "collect reply's per-probe row counts do not sum to "
-                      "its " + std::to_string(all.size()) + " rows");
-    }
+    calls->push_back(client_->Start("shard.collect_many", fields));
   }
-  return out;
+  return FinishCollect([this, calls, n = probes.size()] {
+    std::vector<RangeScanBatch> out;
+    out.reserve(n);
+    for (ShardClient::PendingCall& call : *calls) {
+      SplitCollectReply(client_->Finish(std::move(call)),
+                        std::min(kMaxCollectProbes, n - out.size()), &out);
+    }
+    return out;
+  });
 }
 
 RangeScanBatch RemoteShardBackend::CollectDest(ObjectId dest, TimeMicros begin,
@@ -211,15 +221,13 @@ std::vector<ObjectId> RemoteShardBackend::FlowDestsOf(ObjectId src,
   return std::move(ids).value();
 }
 
-size_t RemoteShardBackend::SealTail(WorkerPool* pool) {
-  (void)pool;  // parallelism is the daemon's concern
+size_t RemoteShardBackend::SealTail() {
   const size_t rows = client_->Call("shard.seal_tail").GetUint("rows");
   tail_rows_ = 0;
   return rows;
 }
 
-size_t RemoteShardBackend::Compact(WorkerPool* pool) {
-  (void)pool;
+size_t RemoteShardBackend::Compact() {
   return client_->Call("shard.compact").GetUint("units");
 }
 

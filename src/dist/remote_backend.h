@@ -32,23 +32,25 @@ namespace aptrace::dist {
 /// immediately — the daemon must see the row before the next quantum's
 /// queries do.
 ///
-/// Every collect is one shard.collect_many round trip: CollectMany sends
-/// its whole probe list in one request (split at kMaxCollectProbes), and
-/// the single-window Collect* are its one-probe case. The capability
-/// block advertises collect_batch = kCollectBatch, so the Executor hands
-/// this backend B windows per call. A reply carries whole rows, so no
-/// scan calls Get() and nothing is cached. Get() is a point lookup
-/// (session start, checkpoint restore, trace export): one shard.fetch
-/// round trip per call.
+/// Every collect is one shard.collect_many round trip: StartCollectMany
+/// sends its whole probe list in one request (split at
+/// kMaxCollectProbes) and the call it returns reads the reply, so the
+/// ShardedStore has every probed shard's request in flight before it
+/// reads any. The single-window Collect* are its one-probe case. The
+/// capability block advertises collect_batch = kCollectBatch, so the
+/// Executor hands this backend B windows per call. A reply carries whole
+/// rows, so no scan calls Get() and nothing is cached. Get() is a point
+/// lookup (session start, checkpoint restore, trace export): one
+/// shard.fetch round trip per call.
 ///
 /// Thread-safety: matches the read-after-build contract. Collect*/Get/
-/// HasIncomingWrite/FlowDestsOf are safe concurrently post-seal (the
-/// ShardClient pools connections per calling thread and this class keeps
-/// no mutable read state). Append/Seal/lifecycle calls require the same
-/// external synchronization as every other backend.
+/// HasIncomingWrite/FlowDestsOf are safe concurrently post-seal (each
+/// call checks its own connection out of the ShardClient's pool and this
+/// class keeps no mutable read state). Append/Seal/lifecycle calls
+/// require the same external synchronization as every other backend.
 ///
 /// All failures surface as DistError (DST-E00x) — the ShardedStore's
-/// fan-out turns them into a degraded-mode report naming the shard.
+/// scatter turns them into a degraded-mode report naming the shard.
 class RemoteShardBackend final : public StorageBackend {
  public:
   /// Rows buffered per shard.append batch during bulk load.
@@ -73,7 +75,7 @@ class RemoteShardBackend final : public StorageBackend {
   RangeScanBatch CollectSrc(ObjectId src, TimeMicros begin,
                             TimeMicros end) const override;
   RangeScanBatch CollectRange(TimeMicros begin, TimeMicros end) const override;
-  std::vector<RangeScanBatch> CollectMany(
+  FinishCollect StartCollectMany(
       std::span<const CollectProbe> probes) const override;
 
   bool HasIncomingWrite(ObjectId object, TimeMicros begin,
@@ -81,8 +83,8 @@ class RemoteShardBackend final : public StorageBackend {
   std::vector<ObjectId> FlowDestsOf(ObjectId src, TimeMicros begin,
                                     TimeMicros end) const override;
 
-  size_t SealTail(WorkerPool* pool) override;
-  size_t Compact(WorkerPool* pool) override;
+  size_t SealTail() override;
+  size_t Compact() override;
   size_t EvictBefore(TimeMicros horizon) override;
   size_t TailRows() const override { return tail_rows_; }
 

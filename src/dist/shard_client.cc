@@ -43,15 +43,26 @@ const DistMetrics& Dm() {
   return kMetrics;
 }
 
-/// Milliseconds left before `deadline_at`; throws DST-E002 at zero.
-int RemainingMillis(int64_t deadline_at, const char* phase) {
-  const int64_t left = deadline_at - MonotonicNowMicros();
-  if (left <= 0) {
-    throw DistError(kDistErrDeadline,
-                    std::string("deadline exceeded during ") + phase);
+/// Waits until `fd` polls ready for `events`; throws DST-E002 once
+/// `deadline_at` has passed with `fd` still not ready. A socket that is
+/// ready passes even after the deadline: a reply that arrived while the
+/// caller was reading another shard's reply is not late.
+void WaitReady(int fd, short events, int64_t deadline_at, const char* phase) {
+  pollfd p{fd, events, 0};
+  for (;;) {
+    const int64_t left = deadline_at - MonotonicNowMicros();
+    // Round up so a sub-millisecond remainder still waits.
+    const int r =
+        poll(&p, 1, left > 0 ? static_cast<int>((left + 999) / 1000) : 0);
+    if (r > 0) return;
+    if (r < 0 && errno != EINTR) {
+      throw DistError(kDistErrEndpoint, "poll: " + ErrnoMessage(errno));
+    }
+    if (r == 0 && left <= 0) {
+      throw DistError(kDistErrDeadline,
+                      std::string("deadline exceeded during ") + phase);
+    }
   }
-  // Round up so a sub-millisecond remainder still polls once.
-  return static_cast<int>((left + 999) / 1000);
 }
 
 void SetNonBlocking(int fd) {
@@ -205,14 +216,7 @@ int ShardClient::Dial(int64_t deadline_at) {
 
   // Finish the non-blocking connect under the deadline.
   try {
-    pollfd p{fd, POLLOUT, 0};
-    for (;;) {
-      const int r = poll(&p, 1, RemainingMillis(deadline_at, "connect"));
-      if (r < 0 && errno == EINTR) continue;
-      if (r > 0) break;
-      if (r == 0) continue;  // RemainingMillis throws once spent
-      throw DistError(kDistErrEndpoint, "poll: " + ErrnoMessage(errno));
-    }
+    WaitReady(fd, POLLOUT, deadline_at, "connect");
     int err = 0;
     socklen_t len = sizeof(err);
     if (getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len) < 0 || err != 0) {
@@ -225,8 +229,8 @@ int ShardClient::Dial(int64_t deadline_at) {
     // the coordinator expects, speaking the protocol it expects.
     obs::JsonDict hello;
     hello.Add("op", "shard.hello");
-    const std::string reply = Exchange(fd, hello.Str(), deadline_at);
-    const service::JsonValue resp = ParseResponse(reply);
+    SendLine(fd, hello.Str(), deadline_at);
+    const service::JsonValue resp = ParseResponse(ReadLine(fd, deadline_at));
     if (resp.GetString("proto") != kShardProto) {
       throw DistError(kDistErrIdentity,
                       endpoint_.ToString() + " speaks '" +
@@ -269,15 +273,12 @@ int ShardClient::Dial(int64_t deadline_at) {
   return fd;
 }
 
-std::string ShardClient::Exchange(int fd, const std::string& line,
-                                  int64_t deadline_at) {
+void ShardClient::SendLine(int fd, const std::string& line,
+                           int64_t deadline_at) {
   const std::string out = line + "\n";
   size_t off = 0;
   while (off < out.size()) {
-    pollfd p{fd, POLLOUT, 0};
-    const int r = poll(&p, 1, RemainingMillis(deadline_at, "send"));
-    if (r < 0 && errno == EINTR) continue;
-    if (r <= 0) continue;
+    WaitReady(fd, POLLOUT, deadline_at, "send");
     const ssize_t n =
         send(fd, out.data() + off, out.size() - off, MSG_NOSIGNAL);
     if (n < 0) {
@@ -288,7 +289,9 @@ std::string ShardClient::Exchange(int fd, const std::string& line,
     }
     off += static_cast<size_t>(n);
   }
+}
 
+std::string ShardClient::ReadLine(int fd, int64_t deadline_at) {
   std::string buf;
   char chunk[4096];
   for (;;) {
@@ -297,10 +300,7 @@ std::string ShardClient::Exchange(int fd, const std::string& line,
       if (!buf.empty() && buf.back() == '\r') buf.pop_back();
       return buf;
     }
-    pollfd p{fd, POLLIN, 0};
-    const int r = poll(&p, 1, RemainingMillis(deadline_at, "recv"));
-    if (r < 0 && errno == EINTR) continue;
-    if (r <= 0) continue;
+    WaitReady(fd, POLLIN, deadline_at, "recv");
     const ssize_t n = recv(fd, chunk, sizeof(chunk), 0);
     if (n < 0) {
       if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) {
@@ -343,67 +343,86 @@ service::JsonValue ShardClient::ParseResponse(const std::string& line) {
   return resp;
 }
 
-service::JsonValue ShardClient::Call(const std::string& op,
-                                     const obs::JsonDict& fields) {
-  APTRACE_SPAN("dist/fanout");
+ShardClient::PendingCall::PendingCall(PendingCall&& other) noexcept
+    : line(std::move(other.line)),
+      fd(std::exchange(other.fd, -1)),
+      deadline_at(other.deadline_at),
+      error(std::move(other.error)) {}
+
+ShardClient::PendingCall::~PendingCall() {
+  // An unread reply leaves the connection mid-exchange: it cannot be
+  // pooled.
+  if (fd >= 0) close(fd);
+}
+
+ShardClient::PendingCall ShardClient::Start(const std::string& op,
+                                            const obs::JsonDict& fields) {
+  PendingCall call;
   obs::JsonDict request;
   request.Add("op", op);
-  std::string line = request.Str();
+  call.line = request.Str();
   const std::string body = fields.Str();
   if (body.size() > 2) {
     // Merge {"op":...} with the caller's fields (both are flat objects).
-    line.pop_back();
-    line += ",";
-    line += body.substr(1);
+    call.line.pop_back();
+    call.line += ",";
+    call.line += body.substr(1);
   }
+  StartAttempt(&call);
+  return call;
+}
 
+void ShardClient::StartAttempt(PendingCall* call) {
+  call->deadline_at =
+      MonotonicNowMicros() + static_cast<int64_t>(options_.deadline_micros);
+  {
+    MutexLock lock(&mu_);
+    if (!idle_fds_.empty()) {
+      call->fd = idle_fds_.back();
+      idle_fds_.pop_back();
+    }
+  }
+  try {
+    if (call->fd < 0) call->fd = Dial(call->deadline_at);
+    SendLine(call->fd, call->line, call->deadline_at);
+  } catch (const DistError& e) {
+    call->error = e;
+  }
+}
+
+service::JsonValue ShardClient::Finish(PendingCall call) {
+  APTRACE_SPAN("dist/fanout");
   std::string last_error;
   uint64_t backoff = options_.retry_backoff_micros;
   const int attempts = options_.max_attempts < 1 ? 1 : options_.max_attempts;
-  for (int attempt = 0; attempt < attempts; ++attempt) {
-    if (attempt > 0) {
-      Dm().retries->Add();
-      std::this_thread::sleep_for(std::chrono::microseconds(backoff));
-      backoff *= 2;
-    }
-    const int64_t deadline_at =
-        MonotonicNowMicros() +
-        static_cast<int64_t>(options_.deadline_micros);
-    int fd = -1;
-    bool fresh = false;
-    {
-      MutexLock lock(&mu_);
-      if (!idle_fds_.empty()) {
-        fd = idle_fds_.back();
-        idle_fds_.pop_back();
+  for (int attempt = 1;; ++attempt) {
+    std::optional<DistError> failure = std::exchange(call.error, std::nullopt);
+    if (!failure.has_value()) {
+      try {
+        service::JsonValue resp =
+            ParseResponse(ReadLine(call.fd, call.deadline_at));
+        Dm().rpcs->Add();
+        MutexLock lock(&mu_);
+        idle_fds_.push_back(std::exchange(call.fd, -1));
+        return resp;
+      } catch (const DistError& e) {
+        failure = e;
       }
     }
-    try {
-      if (fd < 0) {
-        fd = Dial(deadline_at);
-        fresh = true;
-      }
-      const std::string reply = Exchange(fd, line, deadline_at);
-      service::JsonValue resp = ParseResponse(reply);
-      Dm().rpcs->Add();
-      MutexLock lock(&mu_);
-      idle_fds_.push_back(fd);
-      return resp;
-    } catch (const DistError& e) {
-      if (fd >= 0) close(fd);
-      Dm().rpcs->Add();
-      if (e.code() == kDistErrIdentity || e.code() == kDistErrRemoteOp ||
-          e.code() == kDistErrAppend) {
-        // Permanent verdicts: redialing cannot change them.
-        throw;
-      }
-      if (!fresh && e.code() == kDistErrEndpoint && attempt + 1 < attempts) {
-        // A pooled connection gone stale (daemon restarted) is the one
-        // transport error a redial genuinely repairs; fall through to
-        // the retry loop.
-      }
-      last_error = e.what();
+    Dm().rpcs->Add();
+    if (call.fd >= 0) close(std::exchange(call.fd, -1));
+    if (failure->code() == kDistErrIdentity ||
+        failure->code() == kDistErrRemoteOp ||
+        failure->code() == kDistErrAppend) {
+      // Permanent verdicts: redialing cannot change them.
+      throw *failure;
     }
+    last_error = failure->what();
+    if (attempt == attempts) break;
+    Dm().retries->Add();
+    std::this_thread::sleep_for(std::chrono::microseconds(backoff));
+    backoff *= 2;
+    StartAttempt(&call);
   }
   Dm().shard_down->Add();
   throw DistError(kDistErrUnavailable,

@@ -7,6 +7,7 @@
 #include <string_view>
 #include <vector>
 
+#include "dist/dist_error.h"
 #include "obs/json_dict.h"
 #include "service/json.h"
 #include "storage/storage_backend.h"
@@ -64,12 +65,36 @@ struct ShardClientOptions {
 /// mismatch, DST-E005 after the retry budget, DST-E006 when the shard
 /// answered ok:false.
 ///
-/// Thread-safety: any number of threads may Call() concurrently — the
-/// sharded store's fan-out threads and concurrent sessions over one
-/// store do. Connections live in a mutex-guarded free list; each Call
-/// checks one out (dialing if none is idle) and returns it on success.
+/// An RPC comes in two halves so one thread can have requests to
+/// several shards in flight at once: Start sends the request and returns
+/// a PendingCall, Finish reads its reply. Call is Finish(Start(...)).
+/// The deadline, the retry loop and the RPC count are Finish's.
+///
+/// Thread-safety: any number of threads may start and finish calls
+/// concurrently — concurrent sessions over one store do. Connections
+/// live in a mutex-guarded free list; each Start checks one out (dialing
+/// if none is idle) and Finish returns it on success.
 class ShardClient {
  public:
+  /// A call whose request is sent and whose reply is not read yet. It
+  /// holds the connection the reply arrives on; dropped unfinished, it
+  /// closes that connection.
+  class PendingCall {
+   public:
+    PendingCall(PendingCall&& other) noexcept;
+    PendingCall& operator=(PendingCall&&) = delete;
+    ~PendingCall();
+
+   private:
+    friend class ShardClient;
+    PendingCall() = default;
+
+    std::string line;                // the request, kept for a resend
+    int fd = -1;                     // where the reply arrives, or -1
+    int64_t deadline_at = 0;         // end of the current attempt
+    std::optional<DistError> error;  // why the current send failed
+  };
+
   ShardClient(ShardEndpoint endpoint, uint32_t shard,
               StorageBackendKind expected_backend,
               ShardClientOptions options = {});
@@ -78,9 +103,21 @@ class ShardClient {
   ShardClient(const ShardClient&) = delete;
   ShardClient& operator=(const ShardClient&) = delete;
 
-  /// Issues one RPC: {"op":<op>, ...fields} out, parsed ok:true response
-  /// back. Throws DistError on any failure (see class comment).
-  service::JsonValue Call(const std::string& op, const obs::JsonDict& fields);
+  /// Sends one RPC's request, {"op":<op>, ...fields}, without waiting
+  /// for the reply. A failed send does not throw: Finish retries it.
+  PendingCall Start(const std::string& op, const obs::JsonDict& fields);
+
+  /// Reads a started call's reply and returns the parsed ok:true
+  /// response. Transport failures redial and resend within the retry
+  /// budget. A reply that is already waiting is read even when the
+  /// attempt's deadline has passed. Throws DistError on any failure (see
+  /// class comment).
+  service::JsonValue Finish(PendingCall call);
+
+  /// Issues one RPC: Finish(Start(op, fields)).
+  service::JsonValue Call(const std::string& op, const obs::JsonDict& fields) {
+    return Finish(Start(op, fields));
+  }
 
   /// Convenience for field-free ops.
   service::JsonValue Call(const std::string& op) {
@@ -95,12 +132,20 @@ class ShardClient {
   void CloseIdle();
 
  private:
+  /// Starts one attempt of `call`: sets its deadline, checks out a
+  /// pooled connection or dials one, and sends the request. A DistError
+  /// is kept in call->error, not thrown.
+  void StartAttempt(PendingCall* call);
+
   /// Dials, handshakes (shard.hello, verified), returns the connected
   /// fd. Throws DistError on failure.
   int Dial(int64_t deadline_at);
 
-  /// One request/response exchange on `fd`. Throws DistError.
-  std::string Exchange(int fd, const std::string& line, int64_t deadline_at);
+  /// Writes `line` and its newline to `fd`. Throws DistError.
+  void SendLine(int fd, const std::string& line, int64_t deadline_at);
+
+  /// Reads one reply line from `fd`. Throws DistError.
+  std::string ReadLine(int fd, int64_t deadline_at);
 
   /// Parses a response line; throws DST-E003 on garbage and DST-E006 /
   /// the remote's own code on ok:false.

@@ -224,13 +224,13 @@ std::string ShardService::HandleLine(const std::string& line,
 
     if (op == "shard.seal_tail") {
       MutexLock lock(&mutate_mu_);
-      d.Add("rows", static_cast<uint64_t>(backend_->SealTail(nullptr)));
+      d.Add("rows", static_cast<uint64_t>(backend_->SealTail()));
       return d.Str();
     }
 
     if (op == "shard.compact") {
       MutexLock lock(&mutate_mu_);
-      d.Add("units", static_cast<uint64_t>(backend_->Compact(nullptr)));
+      d.Add("units", static_cast<uint64_t>(backend_->Compact()));
       return d.Str();
     }
 

@@ -830,12 +830,12 @@ void SessionManager::MaintainStoreLocked() {
   // Seal before evicting so rows already older than the horizon move
   // into sealed segments first (eviction only ever drops a sealed
   // prefix); compact last so it sees the post-eviction live region.
-  const size_t sealed = store_->SealTail(nullptr);
+  const size_t sealed = store_->SealTail();
   size_t evicted = 0;
   if (limits_.retention_micros != 0) {
     evicted = store_->EvictBefore(store_->MaxTime() - limits_.retention_micros);
   }
-  const size_t compacted = store_->CompactSegments(nullptr);
+  const size_t compacted = store_->CompactSegments();
   APTRACE_LOG(Debug) << "service: sealed " << sealed << " tail rows"
                      << " (evicted " << evicted << " rows, compacted "
                      << compacted << " segments)";

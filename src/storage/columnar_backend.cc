@@ -9,7 +9,6 @@
 #include "obs/metrics.h"
 #include "obs/names.h"
 #include "obs/trace.h"
-#include "util/worker_pool.h"
 
 namespace aptrace {
 
@@ -90,8 +89,6 @@ ColumnarSegmentBackend::ColumnarSegmentBackend(CostModel cost_model,
 
 const BackendCapabilities& ColumnarSegmentBackend::capabilities() const {
   static const BackendCapabilities kCaps = {
-      .streaming_append = true,
-      .zone_map_pruning = true,
       .probe_unit = "column segment",
   };
   return kCaps;
@@ -160,15 +157,15 @@ void ColumnarSegmentBackend::Seal() {
   }
   sealed_rows_ = staging_.size();
   row_refs_.resize(sealed_rows_);
-  RecutInto(std::move(staging_), 0, nullptr);
+  RecutInto(std::move(staging_), 0);
   staging_.clear();
   staging_.shrink_to_fit();
   MarkSealed(sealed_rows_ == 0);
 }
 
-void ColumnarSegmentBackend::BuildSegment(const std::vector<Event>& rows,
-                                          size_t base, size_t n,
-                                          uint32_t seg_index, Segment* out) {
+ColumnarSegmentBackend::Segment ColumnarSegmentBackend::BuildSegment(
+    const std::vector<Event>& rows, size_t base, size_t n,
+    uint32_t seg_index) {
   Segment s;
   s.ids.reserve(n);
   s.ts.reserve(n);
@@ -215,36 +212,23 @@ void ColumnarSegmentBackend::BuildSegment(const std::vector<Event>& rows,
   s.src_postings = BuildPostingList(keys);
   for (size_t i = 0; i < n; ++i) keys[i] = FlowKeyAt(s, i, /*by_src=*/false);
   s.dest_postings = BuildPostingList(keys);
-  *out = std::move(s);
+  return s;
 }
 
 void ColumnarSegmentBackend::RecutInto(std::vector<Event> rows,
-                                       size_t keep_segments,
-                                       WorkerPool* pool) {
+                                       size_t keep_segments) {
   const size_t total = rows.size();
-  const size_t chunks = (total + segment_rows_ - 1) / segment_rows_;
-  std::vector<Segment> fresh(chunks);
-  const auto build = [&](size_t c) {
-    const size_t base = c * segment_rows_;
-    BuildSegment(rows, base, std::min(segment_rows_, total - base),
-                 static_cast<uint32_t>(keep_segments + c), &fresh[c]);
-  };
-  if (pool != nullptr && chunks > 1) {
-    // Each build writes only its own fresh[c] and distinct row_refs_
-    // elements; WaitIdle is the barrier before anything reads them.
-    for (size_t c = 0; c < chunks; ++c) {
-      if (!pool->Submit([&build, c] { build(c); })) build(c);
-    }
-    pool->WaitIdle();
-  } else {
-    for (size_t c = 0; c < chunks; ++c) build(c);
-  }
   segments_.resize(keep_segments);
-  segments_.reserve(keep_segments + chunks);
-  for (Segment& s : fresh) segments_.push_back(std::move(s));
+  segments_.reserve(keep_segments +
+                    (total + segment_rows_ - 1) / segment_rows_);
+  for (size_t base = 0; base < total; base += segment_rows_) {
+    segments_.push_back(
+        BuildSegment(rows, base, std::min(segment_rows_, total - base),
+                     static_cast<uint32_t>(segments_.size())));
+  }
 }
 
-size_t ColumnarSegmentBackend::SealTail(WorkerPool* pool) {
+size_t ColumnarSegmentBackend::SealTail() {
   if (!sealed() || tail_.empty()) return 0;
   APTRACE_SPAN("store/seal_tail");
   const size_t tail_n = tail_.size();
@@ -285,7 +269,7 @@ size_t ColumnarSegmentBackend::SealTail(WorkerPool* pool) {
   for (const uint32_t pos : tail_sorted_) tail_rows.push_back(tail_[pos]);
 
   row_refs_.resize(sealed_rows_ + tail_n);
-  RecutInto(MergeScanRows(spliced, tail_rows), splice, pool);
+  RecutInto(MergeScanRows(spliced, tail_rows), splice);
   sealed_rows_ += tail_n;
   tail_.clear();
   tail_sorted_.clear();
@@ -294,7 +278,7 @@ size_t ColumnarSegmentBackend::SealTail(WorkerPool* pool) {
   return tail_n;
 }
 
-size_t ColumnarSegmentBackend::Compact(WorkerPool* pool) {
+size_t ColumnarSegmentBackend::Compact() {
   if (!sealed()) return 0;
   const size_t current = segments_.size() - first_live_;
   size_t live_rows = 0;
@@ -310,7 +294,7 @@ size_t ColumnarSegmentBackend::Compact(WorkerPool* pool) {
     const Segment& s = segments_[i];
     for (size_t r = 0; r < s.rows(); ++r) rows.push_back(MaterializeRow(s, r));
   }
-  RecutInto(std::move(rows), first_live_, pool);
+  RecutInto(std::move(rows), first_live_);
   const size_t saved = current - (segments_.size() - first_live_);
   Lm().compactions->Add();
   Lm().segments_compacted->Add(saved);

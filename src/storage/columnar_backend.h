@@ -82,8 +82,8 @@ class ColumnarSegmentBackend final : public StorageBackend {
   std::vector<ObjectId> FlowDestsOf(ObjectId src, TimeMicros begin,
                                     TimeMicros end) const override;
 
-  size_t SealTail(WorkerPool* pool) override;
-  size_t Compact(WorkerPool* pool) override;
+  size_t SealTail() override;
+  size_t Compact() override;
   size_t EvictBefore(TimeMicros horizon) override;
   size_t TailRows() const override { return tail_.size(); }
 
@@ -169,18 +169,14 @@ class ColumnarSegmentBackend final : public StorageBackend {
   size_t FirstSegmentFor(TimeMicros begin) const;
 
   /// Columnarizes rows[base, base+n) — already (timestamp, id)-sorted —
-  /// into *out, builds its posting lists, and points row_refs_ at the new
-  /// locations. Writes only *out and distinct row_refs_ elements, so calls
-  /// over disjoint ranges are safe to run concurrently (SealTail/Compact
-  /// fan builds out to a WorkerPool).
-  void BuildSegment(const std::vector<Event>& rows, size_t base, size_t n,
-                    uint32_t seg_index, Segment* out);
+  /// into segment `seg_index`, builds its posting lists, and points
+  /// row_refs_ at the new locations.
+  Segment BuildSegment(const std::vector<Event>& rows, size_t base, size_t n,
+                       uint32_t seg_index);
 
   /// Replaces segments_[keep_segments, end) with a fresh fixed-size cut
-  /// of `rows` (sorted), parallelizing segment builds on `pool` when
-  /// non-null.
-  void RecutInto(std::vector<Event> rows, size_t keep_segments,
-                 WorkerPool* pool);
+  /// of `rows` (sorted).
+  void RecutInto(std::vector<Event> rows, size_t keep_segments);
 
   /// [first, last) index range of tail_sorted_ with timestamps in
   /// [begin, end).

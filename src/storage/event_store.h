@@ -1,6 +1,7 @@
 #ifndef APTRACE_STORAGE_EVENT_STORE_H_
 #define APTRACE_STORAGE_EVENT_STORE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -52,13 +53,10 @@ struct EventStoreOptions {
       size_t shard, const EventStoreOptions& options)>
       shard_backend_factory;
 
-  /// Concurrency of the sharded store's per-shard Collect fan-out:
-  /// 0 (default) probes shards sequentially on the calling thread — right
-  /// for in-process shards, where a probe is a memory-bound index walk.
-  /// N > 0 gives the store N dedicated fan-out threads so remote probes
-  /// overlap their network round-trips and one slow daemon does not
-  /// serialize the rest. Fan-out threads run inside a single Collect
-  /// call.
+  /// Does nothing. The sharded store collects on the calling thread: it
+  /// starts every probed shard's collect before it finishes any, so
+  /// remote round trips overlap without threads. Kept because the
+  /// benchmark harness (perfbench/) still assigns it.
   size_t dist_fanout_threads = 0;
 };
 
@@ -217,9 +215,11 @@ class EventStore {
 
   /// Tiered-storage lifecycle passthroughs (see StorageBackend): no-ops
   /// on backends without a hot tail. All three mutators need the same
-  /// external synchronization with queries as post-seal Append.
-  size_t SealTail(WorkerPool* pool) { return backend_->SealTail(pool); }
-  size_t CompactSegments(WorkerPool* pool) { return backend_->Compact(pool); }
+  /// external synchronization with queries as post-seal Append. SealTail
+  /// also accepts a `nullptr` argument, which it ignores, because the
+  /// benchmark harness (perfbench/) still passes one.
+  size_t SealTail(std::nullptr_t = nullptr) { return backend_->SealTail(); }
+  size_t CompactSegments() { return backend_->Compact(); }
   size_t EvictBefore(TimeMicros horizon) {
     return backend_->EvictBefore(horizon);
   }

@@ -34,8 +34,6 @@ RowStoreBackend::RowStoreBackend(CostModel cost_model,
 
 const BackendCapabilities& RowStoreBackend::capabilities() const {
   static const BackendCapabilities kCaps = {
-      .streaming_append = true,
-      .zone_map_pruning = false,
       .probe_unit = "time partition",
   };
   return kCaps;

@@ -1,6 +1,7 @@
 #include "storage/sharded_store.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <string>
 #include <utility>
@@ -13,7 +14,6 @@
 #include "storage/event_store.h"
 #include "storage/row_store_backend.h"
 #include "util/logging.h"
-#include "util/worker_pool.h"
 
 namespace aptrace {
 
@@ -77,18 +77,12 @@ ShardedStore::ShardedStore(const EventStoreOptions& options,
                              ? options.shard_backend_factory(i, options)
                              : MakeShardBackend(options);
   }
-  if (options.dist_fanout_threads > 0 && n > 1) {
-    fanout_pool_ = std::make_unique<WorkerPool>(
-        static_cast<int>(options.dist_fanout_threads));
-  }
   shard_stats_.resize(n);
   shard_boundary_.resize(n, 0);
   obs::Metrics()
       .FindOrCreateGauge(obs::names::kStoreShards)
       ->Set(static_cast<int64_t>(n));
 }
-
-ShardedStore::~ShardedStore() = default;
 
 const BackendCapabilities& ShardedStore::capabilities() const {
   return shards_[0].backend->capabilities();
@@ -129,113 +123,107 @@ Event ShardedStore::Get(EventId id) const {
   return e;
 }
 
-std::vector<RangeScanBatch> ShardedStore::CollectMany(
-    std::span<const CollectProbe> probes) const {
-  APTRACE_SPAN("store/shard_scan");
-  const uint64_t all_shards = shards_.size() == kMaxStoreShards
-                                  ? ~uint64_t{0}
-                                  : (uint64_t{1} << shards_.size()) - 1;
+uint64_t ShardedStore::ProbeMask(const CollectProbe& probe) const {
+  if (probe.kind == ProbeKind::kRange) {
+    return shards_.size() == kMaxStoreShards
+               ? ~uint64_t{0}
+               : (uint64_t{1} << shards_.size()) - 1;
+  }
+  return MaskFor(probe.kind == ProbeKind::kSrc ? src_shards_ : dest_shards_,
+                 probe.key);
+}
 
-  // Route every probe by its object's shard mask (a range probe reads
-  // every shard) and group the probes by shard: one backend call per
-  // shard answers all of that shard's probes, in probe order.
+FinishCollect ShardedStore::StartCollectMany(
+    std::span<const CollectProbe> probes) const {
+  uint64_t probed = 0;
+  for (const CollectProbe& p : probes) probed |= ProbeMask(p);
+  if (probed == 0) {
+    return FinishCollect(std::vector<RangeScanBatch>(probes.size()));
+  }
+  APTRACE_SPAN("store/shard_scan");
+
+  // Group the probes by shard: one collect per probed shard answers all
+  // of that shard's probes, in probe order. Only probed shards get a
+  // call; calls[k] is the k-th probed shard in shard order.
   struct ShardCall {
+    uint32_t shard = 0;
     std::vector<size_t> index;  // positions in `probes`
     std::vector<CollectProbe> probes;
+    FinishCollect finish;
     std::vector<RangeScanBatch> batches;
     bool failed = false;
     std::string error;
   };
-  std::vector<ShardCall> calls(shards_.size());
-  std::vector<HostId> homes(probes.size(), kInvalidHostId);
-  for (size_t i = 0; i < probes.size(); ++i) {
-    const CollectProbe& p = probes[i];
-    uint64_t mask = all_shards;
-    if (p.kind != ProbeKind::kRange) {
-      mask = MaskFor(p.kind == ProbeKind::kSrc ? src_shards_ : dest_shards_,
-                     p.key);
-      homes[i] = catalog_->Get(p.key).host();
-    }
-    for (uint32_t s = 0; s < shards_.size(); ++s) {
-      if ((mask & (uint64_t{1} << s)) == 0) continue;
-      calls[s].index.push_back(i);
-      calls[s].probes.push_back(p);
-    }
+  std::vector<ShardCall> calls(std::popcount(probed));
+  const auto call_of = [&](int s) -> ShardCall& {
+    return calls[std::popcount(probed & ((uint64_t{1} << s) - 1))];
+  };
+  for (uint64_t left = probed; left != 0; left &= left - 1) {
+    const int s = std::countr_zero(left);
+    call_of(s).shard = static_cast<uint32_t>(s);
   }
-  std::vector<uint32_t> called;
-  for (uint32_t s = 0; s < shards_.size(); ++s) {
-    if (!calls[s].probes.empty()) called.push_back(s);
+  for (size_t i = 0; i < probes.size(); ++i) {
+    for (uint64_t left = ProbeMask(probes[i]); left != 0; left &= left - 1) {
+      ShardCall& c = call_of(std::countr_zero(left));
+      c.index.push_back(i);
+      c.probes.push_back(probes[i]);
+    }
   }
 
-  // Each shard call catches its own failure: a remote shard that is down
-  // must surface as one typed degraded error naming the missing shards —
-  // and never hang the query or tear down the coordinator thread.
-  const auto run_call = [&](uint32_t s) {
-    ShardCall& c = calls[s];
+  // Start every shard's collect before finishing any, then finish them
+  // in shard order. Each step catches its own shard's failure: a remote
+  // shard that is down must surface as one typed degraded error naming
+  // the missing shards — and never hang the query or tear down the
+  // coordinator thread.
+  for (ShardCall& c : calls) {
     try {
-      c.batches = shards_[s].backend->CollectMany(c.probes);
-      if (c.batches.size() != c.probes.size()) {
-        throw dist::DistError(dist::kDistErrProtocol,
-                              "collect answered " +
-                                  std::to_string(c.batches.size()) + " of " +
-                                  std::to_string(c.probes.size()) +
-                                  " probes");
-      }
+      c.finish = shards_[c.shard].backend->StartCollectMany(c.probes);
     } catch (const std::exception& e) {
       c.failed = true;
       c.error = e.what();
     }
-  };
-
-  if (fanout_pool_ != nullptr && called.size() > 1) {
-    // Join on a per-call latch, not pool idleness: concurrent calls share
-    // the pool and must not wait for each other's probes.
-    Mutex latch_mu("ShardedStore::gather_latch");
-    CondVar latch_cv;
-    size_t remaining = called.size();
-    for (const uint32_t s : called) {
-      const bool queued = fanout_pool_->Submit([&, s] {
-        run_call(s);
-        MutexLock lock(&latch_mu);
-        if (--remaining == 0) latch_cv.NotifyOne();
-      });
-      if (!queued) {
-        // Pool is shutting down; probe inline so the latch still opens.
-        run_call(s);
-        MutexLock lock(&latch_mu);
-        --remaining;
-      }
-    }
-    MutexLock lock(&latch_mu);
-    while (remaining > 0) latch_cv.Wait(lock);
-  } else {
-    for (const uint32_t s : called) run_call(s);
   }
-
   size_t n_down = 0;
   std::string down;
-  for (const uint32_t s : called) {
-    if (!calls[s].failed) continue;
+  for (ShardCall& c : calls) {
+    if (!c.failed) {
+      try {
+        c.batches = c.finish();
+        if (c.batches.size() != c.probes.size()) {
+          throw dist::DistError(dist::kDistErrProtocol,
+                                "collect answered " +
+                                    std::to_string(c.batches.size()) +
+                                    " of " + std::to_string(c.probes.size()) +
+                                    " probes");
+        }
+      } catch (const std::exception& e) {
+        c.failed = true;
+        c.error = e.what();
+      }
+    }
+    if (!c.failed) continue;
     if (n_down++ > 0) down += "; ";
-    down += "shard " + std::to_string(s) + ": " + calls[s].error;
+    down += "shard " + std::to_string(c.shard) + ": " + c.error;
   }
   if (n_down > 0) {
     throw dist::DistError(
         dist::kDistErrUnavailable,
         "degraded scan: " + std::to_string(n_down) + " of " +
-            std::to_string(called.size()) +
+            std::to_string(calls.size()) +
             " probed shards unavailable (" + down + ")");
   }
 
   std::vector<RangeScanBatch> out(probes.size());
-  for (const uint32_t s : called) {
-    ShardCall& c = calls[s];
+  for (ShardCall& c : calls) {
     for (size_t j = 0; j < c.index.size(); ++j) {
       RangeScanBatch& b = c.batches[j];
       RangeScanBatch& o = out[c.index[j]];
-      const HostId home = homes[c.index[j]];
+      const CollectProbe& p = c.probes[j];
+      const HostId home = p.kind == ProbeKind::kRange
+                              ? kInvalidHostId
+                              : catalog_->Get(p.key).host();
       ShardScanSlice slice;
-      slice.shard = s;
+      slice.shard = c.shard;
       slice.rows = b.rows.size();
       slice.partitions_probed = b.partitions_probed;
       slice.partitions_seeked = b.partitions_seeked;
@@ -243,7 +231,7 @@ std::vector<RangeScanBatch> ShardedStore::CollectMany(
       for (Event& e : b.rows) {
         // Shards assign their own dense local ids; callers only ever see
         // the coordinator's global id (the monolithic append-order id).
-        e.id = shards_[s].gid_of[e.id];
+        e.id = shards_[c.shard].gid_of[e.id];
         if (home != kInvalidHostId && e.host != home) slice.boundary_rows++;
       }
       o.partitions_probed += b.partitions_probed;
@@ -258,7 +246,7 @@ std::vector<RangeScanBatch> ShardedStore::CollectMany(
                               : MergeScanRows(o.rows, b.rows);
     }
   }
-  return out;
+  return FinishCollect(std::move(out));
 }
 
 RangeScanBatch ShardedStore::CollectDest(ObjectId dest, TimeMicros begin,
@@ -387,15 +375,15 @@ size_t ShardedStore::ReplayScan(const RangeScanBatch& batch, Clock* clock,
   return rows;
 }
 
-size_t ShardedStore::SealTail(WorkerPool* pool) {
+size_t ShardedStore::SealTail() {
   size_t sealed_rows = 0;
-  for (Shard& s : shards_) sealed_rows += s.backend->SealTail(pool);
+  for (Shard& s : shards_) sealed_rows += s.backend->SealTail();
   return sealed_rows;
 }
 
-size_t ShardedStore::Compact(WorkerPool* pool) {
+size_t ShardedStore::Compact() {
   size_t reclaimed = 0;
-  for (Shard& s : shards_) reclaimed += s.backend->Compact(pool);
+  for (Shard& s : shards_) reclaimed += s.backend->Compact();
   return reclaimed;
 }
 

@@ -82,7 +82,6 @@ class ShardedStore final : public StorageBackend {
   /// accounting; it must outlive the store (the owning EventStore passes
   /// its own catalog).
   ShardedStore(const EventStoreOptions& options, const ObjectCatalog* catalog);
-  ~ShardedStore() override;
 
   size_t shard_count() const { return shards_.size(); }
   const StorageBackend& shard(size_t i) const { return *shards_[i].backend; }
@@ -101,16 +100,18 @@ class ShardedStore final : public StorageBackend {
   RangeScanBatch CollectRange(TimeMicros begin, TimeMicros end) const override;
 
   /// The scatter-gather walk behind every Collect* (each is the
-  /// one-probe case): groups the probes by shard mask and makes one
-  /// CollectMany call per probed shard — concurrently on the fan-out pool
-  /// when configured, else sequentially — then, per probe, rewrites each
-  /// row's local id to its global id, counts boundary rows against the
-  /// probed object's home host, merges the per-shard rows by
-  /// (timestamp, gid), and records one ShardScanSlice per shard probed.
-  /// A shard call that throws (a remote shard down) is caught per shard;
-  /// the call then raises one dist::DistError(DST-E005) naming every
-  /// missing shard — degraded mode, never a hang.
-  std::vector<RangeScanBatch> CollectMany(
+  /// one-probe case), done in full before it returns: groups the probes
+  /// by shard mask, starts one collect per probed shard, then finishes
+  /// each, all on the calling thread — a remote shard's request is on
+  /// the wire while earlier shards are read, so the round trips overlap.
+  /// Then, per probe, it rewrites each row's local id to its global id,
+  /// counts boundary rows against the probed object's home host, merges
+  /// the per-shard rows by (timestamp, gid), and records one
+  /// ShardScanSlice per shard probed. A shard collect that throws (a
+  /// remote shard down) is caught per shard; the call then raises one
+  /// dist::DistError(DST-E005) naming every missing shard — degraded
+  /// mode, never a hang.
+  FinishCollect StartCollectMany(
       std::span<const CollectProbe> probes) const override;
 
   bool HasIncomingWrite(ObjectId object, TimeMicros begin,
@@ -126,8 +127,8 @@ class ShardedStore final : public StorageBackend {
 
   /// Tiered-storage lifecycle: each call fans out to every shard (same
   /// external-synchronization contract as the base class).
-  size_t SealTail(WorkerPool* pool) override;
-  size_t Compact(WorkerPool* pool) override;
+  size_t SealTail() override;
+  size_t Compact() override;
   size_t EvictBefore(TimeMicros horizon) override;
   size_t TailRows() const override;
 
@@ -158,6 +159,10 @@ class ShardedStore final : public StorageBackend {
     return id < masks.size() ? masks[id] : 0;
   }
 
+  /// Shards a probe reads: its object's mask, or every shard for a range
+  /// probe.
+  uint64_t ProbeMask(const CollectProbe& probe) const;
+
   /// Charges one replayed/counted query to the totals and the per-shard
   /// stats under the single aggregation mutex. `delivered`/`filtered`
   /// are per-shard row outcomes (indexed by shard), `cost` the full
@@ -169,11 +174,6 @@ class ShardedStore final : public StorageBackend {
 
   const ObjectCatalog* catalog_;
   DurationMicros partition_micros_;
-  /// Dedicated fan-out workers for CollectMany when
-  /// EventStoreOptions::dist_fanout_threads > 0 (remote shards); null =
-  /// sequential shard calls. Concurrent calls share the pool but join on
-  /// their own per-call latch, never on pool idleness.
-  std::unique_ptr<WorkerPool> fanout_pool_;
   std::vector<Shard> shards_;
   std::vector<RowMeta> meta_;  // indexed by global EventId
 

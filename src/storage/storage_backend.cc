@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstdlib>
 #include <iterator>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "obs/names.h"
@@ -99,7 +100,7 @@ std::vector<Event> MergeScanRows(const std::vector<Event>& a,
   return merged;
 }
 
-std::vector<RangeScanBatch> StorageBackend::CollectMany(
+FinishCollect StorageBackend::StartCollectMany(
     std::span<const CollectProbe> probes) const {
   std::vector<RangeScanBatch> out;
   out.reserve(probes.size());
@@ -116,7 +117,7 @@ std::vector<RangeScanBatch> StorageBackend::CollectMany(
         break;
     }
   }
-  return out;
+  return FinishCollect(std::move(out));
 }
 
 StorageBackend::StorageBackend(StorageBackendKind kind, CostModel cost_model)

@@ -7,6 +7,7 @@
 #include <optional>
 #include <span>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "event/event.h"
@@ -15,8 +16,6 @@
 #include "util/clock.h"
 
 namespace aptrace {
-
-class WorkerPool;
 
 /// Physical layouts the store can run on. The row store is the seed
 /// implementation (time partitions + per-partition hash indexes); the
@@ -56,12 +55,6 @@ size_t DefaultShardCount();
 /// care (benches, docs, the shell's status output) read these instead of
 /// switching on the kind.
 struct BackendCapabilities {
-  /// Post-seal Append() keeps the store queryable (streaming ingestion).
-  bool streaming_append = false;
-  /// CollectSrc/CollectDest can reject whole storage units from zone
-  /// metadata without touching a row; rejected units are reported in
-  /// RangeScanBatch::segments_pruned and never counted as probed.
-  bool zone_map_pruning = false;
   /// The storage unit the `partitions_probed`/`partitions_seeked`
   /// counters count ("time partition" or "column segment").
   const char* probe_unit = "time partition";
@@ -170,6 +163,28 @@ struct CollectProbe {
   bool operator==(const CollectProbe&) const = default;
 };
 
+/// The second half of a started batched collect
+/// (StorageBackend::StartCollectMany): call it once for one batch per
+/// probe. It holds the batches of a collect done at start, or the call
+/// that finishes a collect still in flight; that call throws what the
+/// collect throws and must run while the backend that started it lives.
+class FinishCollect {
+ public:
+  FinishCollect() = default;
+  explicit FinishCollect(std::vector<RangeScanBatch> batches)
+      : batches_(std::move(batches)) {}
+  explicit FinishCollect(std::function<std::vector<RangeScanBatch>()> finish)
+      : finish_(std::move(finish)) {}
+
+  std::vector<RangeScanBatch> operator()() {
+    return finish_ ? finish_() : std::move(batches_);
+  }
+
+ private:
+  std::vector<RangeScanBatch> batches_;
+  std::function<std::vector<RangeScanBatch>()> finish_;
+};
+
 /// Physical storage layout behind an EventStore.
 ///
 /// A backend owns the event rows and their indexes; the EventStore façade
@@ -191,12 +206,11 @@ struct CollectProbe {
 /// Append()s followed by Seal() — must happen on one thread (or be
 /// externally synchronized). After Seal(), any number of threads may call
 /// every const member concurrently: Collect*/CollectMany/Get/
-/// HasIncomingWrite/FlowDestsOf touch no mutable state at all (the
-/// sharded store's fan-out threads rely on this), and ReplayScan
-/// serializes only its counter updates behind a single stats mutex so
-/// stats() snapshots are consistent across fields. Post-seal streaming
-/// Append()s require external synchronization with all queries, exactly
-/// as before the refactor.
+/// HasIncomingWrite/FlowDestsOf touch no mutable state at all, and
+/// ReplayScan serializes only its counter updates behind a single stats
+/// mutex so stats() snapshots are consistent across fields. Post-seal
+/// streaming Append()s require external synchronization with all
+/// queries, exactly as before the refactor.
 class StorageBackend {
  public:
   virtual ~StorageBackend() = default;
@@ -246,11 +260,20 @@ class StorageBackend {
                                       TimeMicros end) const = 0;
 
   /// Batched pure row collection: one batch per probe, in probe order,
-  /// each exactly what the matching Collect* returns for it. The default
-  /// loops over Collect*; backends where a call costs a round trip
-  /// override it to answer the whole list at once. Same contract as
-  /// Collect* (no charge, safe concurrently on a sealed store).
-  virtual std::vector<RangeScanBatch> CollectMany(
+  /// each exactly what the matching Collect* returns for it. Same
+  /// contract as Collect* (no charge, safe concurrently on a sealed
+  /// store).
+  std::vector<RangeScanBatch> CollectMany(
+      std::span<const CollectProbe> probes) const {
+    return StartCollectMany(probes)();
+  }
+
+  /// CollectMany in two halves, so a caller can start the collects of
+  /// several backends before it waits on any: the returned call finishes
+  /// this one. The default collects now, looping over Collect*, and the
+  /// call only hands the batches over; a backend where a collect costs a
+  /// round trip sends its request here and reads the reply in the call.
+  virtual FinishCollect StartCollectMany(
       std::span<const CollectProbe> probes) const;
 
   /// True if any event's flow destination is `object` within [begin, end).
@@ -291,20 +314,13 @@ class StorageBackend {
   /// EvictBefore, which by design removes old rows from scan results.
 
   /// Seals the post-seal streaming tail into the backend's durable
-  /// layout, optionally parallelizing segment builds on `pool` (nullptr
-  /// = sequential). Returns rows sealed.
-  virtual size_t SealTail(WorkerPool* pool) {
-    (void)pool;
-    return 0;
-  }
+  /// layout. Returns rows sealed.
+  virtual size_t SealTail() { return 0; }
 
   /// Merges fragmented storage units back to the optimal cut (repeated
   /// tail seals leave partial segments behind). Scan results are
   /// unchanged; probe counts shrink. Returns storage units reclaimed.
-  virtual size_t Compact(WorkerPool* pool) {
-    (void)pool;
-    return 0;
-  }
+  virtual size_t Compact() { return 0; }
 
   /// Retention: excludes all sealed rows with timestamps wholly before
   /// `horizon` from future scans (point lookups by id still resolve, as

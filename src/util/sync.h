@@ -157,7 +157,7 @@ LockOrderViolationHandler SetLockOrderViolationHandlerForTest(
 /// A non-recursive mutual-exclusion lock: std::mutex plus a stable
 /// diagnostic name, the Clang TSA capability attributes, and (Debug) the
 /// lock-order checker registration. `name` must have static storage
-/// duration — pass a literal like "WorkerPool::mu_".
+/// duration — pass a literal like "ShardClient::mu_".
 class APTRACE_CAPABILITY("mutex") Mutex {
  public:
   explicit Mutex(const char* name = "<anonymous mutex>")

@@ -16,7 +16,6 @@
 #include "service/session_manager.h"
 #include "tests/forwarding_backend.h"
 #include "util/sync.h"
-#include "util/worker_pool.h"
 #include "workload/enterprise.h"
 
 namespace aptrace {
@@ -69,17 +68,15 @@ TEST(ConcurrencyTest, ParallelSessionsMatchSerial) {
 }
 
 // Batched collection inside concurrent executors: sessions over a store
-// whose shards report collect_batch 8 (and fan out on 2 threads) must
-// reproduce the inline edge sets, also when several batched sessions
-// run at once over the same store (their CollectMany calls share the
-// store's fan-out pool and nothing else).
+// whose shards report collect_batch 8 must reproduce the inline edge
+// sets, also when several batched sessions run at once over the same
+// store (each scatters its own CollectMany calls on its own thread).
 TEST(ConcurrencyTest, BatchedExecutorsMatchInline) {
   workload::TraceConfig config = workload::TraceConfig::Small();
   config.num_hosts = 4;
   config.shards = 2;
   auto inline_store = workload::BuildEnterpriseTrace(config);
   config.store_tweak = [](EventStoreOptions& options) {
-    options.dist_fanout_threads = 2;
     UseForwardingShards(options, 8);
   };
   auto batched_store = workload::BuildEnterpriseTrace(config);
@@ -219,10 +216,9 @@ TEST(ConcurrencyTest, ShardedStatsSnapshotsReconcileUnderScans) {
   workload::TraceConfig config = workload::TraceConfig::Small();
   config.num_hosts = 4;
   config.shards = 4;
-  // Batched collects on the fan-out pool: CollectMany scatter-gathers
-  // on pool threads while replays charge on the session threads.
+  // Batched collects: each session thread scatter-gathers its own
+  // CollectMany calls and charges its own replays.
   config.store_tweak = [](EventStoreOptions& options) {
-    options.dist_fanout_threads = 2;
     UseForwardingShards(options, 8);
   };
   auto store = workload::BuildEnterpriseTrace(config);
@@ -289,31 +285,6 @@ TEST(ConcurrencyTest, ShardedStatsSnapshotsReconcileUnderScans) {
     prev = &snap;
   }
   EXPECT_GT(snapshots.back().total.queries, 0u);
-}
-
-// Submit racing Shutdown: it must cleanly return false once the pool
-// stops, never crash or leak a queued-but-dropped task count.
-TEST(ConcurrencyTest, SubmitRacesShutdownSafely) {
-  for (int round = 0; round < 8; ++round) {
-    WorkerPool pool(2);
-    std::atomic<int> accepted{0};
-    std::atomic<int> ran{0};
-    std::vector<std::thread> submitters;
-    for (int s = 0; s < 4; ++s) {
-      submitters.emplace_back([&] {
-        for (int i = 0; i < 200; ++i) {
-          if (pool.Submit([&ran] { ran.fetch_add(1); })) {
-            accepted.fetch_add(1);
-          }
-        }
-      });
-    }
-    pool.Shutdown(/*run_pending=*/true);
-    for (auto& s : submitters) s.join();
-    // Everything accepted before the shutdown drain ran to completion;
-    // nothing accepted afterwards (Shutdown(run_pending) drains fully).
-    EXPECT_EQ(ran.load(), accepted.load()) << "round " << round;
-  }
 }
 
 // Session::Snapshot is documented tear-free and callable from a thread

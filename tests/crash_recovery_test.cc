@@ -235,7 +235,7 @@ TEST(CrashRecoveryTest, ColumnarRecoveryMatchesRowAndSurvivesSealing) {
         ServeGraph(*recovered->store, script, f.t.alert);
     // ...and sealing the replayed tail into columnar segments changes
     // neither the contents nor the served graph.
-    recovered->store->SealTail(nullptr);
+    recovered->store->SealTail();
     EXPECT_EQ(recovered->store->TailRows(), 0u);
     EXPECT_EQ(StoreBytes(*recovered->store),
               OracleBytes(f, k, StorageBackendKind::kRow));

@@ -7,7 +7,8 @@
 // --shards=N store and to the monolithic store, on both backends. The
 // RPC contract: batching keeps shard RPCs per processed window at or
 // under 1/4. The degraded-mode contract: SIGKILLing one daemon fails
-// the session with a typed DST-E00x detail, never a hang.
+// the session with a typed DST-E00x detail, never a hang. The
+// coordinator collects on the calling thread: it starts no thread.
 
 #include <fcntl.h>
 #include <signal.h>
@@ -19,7 +20,9 @@
 #include <cerrno>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -78,6 +81,7 @@ RandomTrace MakeDistributedTrace(uint64_t seed, size_t num_events,
   return MakeRandomTrace(
       seed, num_events, backend, kFleetShards,
       [endpoints](EventStoreOptions& options) {
+        // Set as the benchmark harness sets it; it must start nothing.
         options.dist_fanout_threads = kFleetShards;
         options.shard_backend_factory =
             [endpoints](size_t shard, const EventStoreOptions& o)
@@ -170,6 +174,32 @@ TEST_P(DistFabric, RpcsPerWindowStayUnderAQuarter) {
   ASSERT_GT(windows, 100u);
   EXPECT_LE(rpcs * 4, windows) << rpcs << " rpcs for " << windows
                                << " windows";
+}
+
+/// Threads of this process (entries of /proc/self/task).
+size_t ThreadCount() {
+  const std::filesystem::directory_iterator tasks("/proc/self/task");
+  return static_cast<size_t>(std::distance(
+      std::filesystem::begin(tasks), std::filesystem::end(tasks)));
+}
+
+// The coordinator owns no collect thread: building a fleet store and
+// running a family of investigations over it leaves the process's
+// thread count where it was before the store was built.
+TEST_P(DistFabric, CoordinatorStartsNoThreads) {
+  const StorageBackendKind backend = GetParam();
+  auto fleet = ShardFleet::Launch(MakeFleetOptions(backend));
+  ASSERT_TRUE(fleet.ok()) << fleet.status();
+  const size_t before = ThreadCount();
+  const RandomTrace dist =
+      MakeDistributedTrace(97, 400, backend, *fleet.value());
+  const std::string base = UnconstrainedScript(dist);
+  for (const std::string& script :
+       {base, base + " where file.path != \"*.dll\"",
+        base + " where hop <= 3"}) {
+    EXPECT_FALSE(RunGraph(dist, script).empty());
+  }
+  EXPECT_EQ(ThreadCount(), before);
 }
 
 TEST_P(DistFabric, KilledShardFailsQueryWithTypedErrorNotAHang) {

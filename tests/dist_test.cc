@@ -7,9 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <functional>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "dist/dist_error.h"
@@ -17,9 +20,12 @@
 #include "dist/shard_client.h"
 #include "dist/shard_codec.h"
 #include "dist/shard_service.h"
+#include "obs/metrics.h"
+#include "obs/names.h"
 #include "service/json.h"
 #include "service/server.h"
 #include "storage/columnar_backend.h"
+#include "storage/event_store.h"
 #include "storage/row_store_backend.h"
 
 namespace aptrace::dist {
@@ -638,6 +644,163 @@ TEST(RemoteShardBackend, CollectReplyWithInconsistentCountsIsE003) {
     FAIL() << "expected DistError";
   } catch (const DistError& e) {
     EXPECT_EQ(e.code(), std::string(kDistErrProtocol)) << e.what();
+  }
+}
+
+uint64_t CounterValue(const char* name) {
+  return obs::Metrics().FindOrCreateCounter(name)->value();
+}
+
+bool IsCollectMany(const std::string& line) {
+  return line.find("\"shard.collect_many\"") != std::string::npos;
+}
+
+// A garbled shard.collect_many reply is a transport failure of the split
+// RPC: Finish closes that connection, redials, resends the request and
+// reads the honest reply, so the batches still equal a local backend's
+// and the call costs exactly one retry.
+TEST(RemoteShardBackend, CorruptCollectReplyRedialsOnce) {
+  std::atomic<int> collects{0};
+  std::atomic<int> hellos{0};
+  InProcessShardd shardd(
+      1, StorageBackendKind::kRow,
+      [&collects, &hellos](const std::string& line, std::string reply) {
+        if (line.find("\"shard.hello\"") != std::string::npos) hellos++;
+        if (IsCollectMany(line) && collects++ == 0) return std::string("{ok");
+        return reply;
+      });
+  auto client = std::make_shared<ShardClient>(
+      shardd.endpoint(), 1, StorageBackendKind::kRow, FastFail());
+  RemoteShardBackend remote(client, StorageBackendKind::kRow, CostModel{});
+  RowStoreBackend local(CostModel{}, 50);
+  std::vector<CollectProbe> probes;
+  for (uint64_t i = 0; i < 300; ++i) {
+    const Event e = TestEvent(i);
+    remote.Append(e);
+    local.Append(e);
+    if (i % 40 == 0) {
+      probes.push_back({static_cast<ProbeKind>(probes.size() % 3),
+                        probes.size() % 2 == 0 ? e.FlowDest() : e.FlowSource(),
+                        e.timestamp - 100, e.timestamp + 400});
+    }
+  }
+  remote.Seal();
+  local.Seal();
+  ASSERT_EQ(hellos.load(), 1);
+
+  const uint64_t retries0 = CounterValue(obs::names::kDistRetries);
+  const std::vector<RangeScanBatch> many = remote.CollectMany(probes);
+  EXPECT_EQ(CounterValue(obs::names::kDistRetries) - retries0, 1u);
+  EXPECT_EQ(collects.load(), 2);
+  EXPECT_EQ(hellos.load(), 2) << "the garbled connection must be redialed";
+  const std::vector<RangeScanBatch> want = local.CollectMany(probes);
+  ASSERT_EQ(many.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(many[i].rows, want[i].rows) << "probe " << i;
+    EXPECT_EQ(many[i].partitions_probed, want[i].partitions_probed)
+        << "probe " << i;
+    EXPECT_EQ(many[i].partitions_seeked, want[i].partitions_seeked)
+        << "probe " << i;
+  }
+}
+
+// The sharded store sends every probed shard its request before it reads
+// any reply. Shard 0's first reply comes after its deadline while shard
+// 1 answers at once: shard 1's reply then waits in its socket past its
+// own deadline while shard 0 times out and is retried, and it must still
+// be read, not retried. The batches equal an in-process sharded store's.
+TEST(ShardedStoreOverShardd, SlowShardIsRetriedAloneAndBatchesStayExact) {
+  constexpr uint64_t kDeadlineMicros = 300'000;
+  std::atomic<int> collects[2] = {0, 0};
+  const auto delay_first_collect = [&collects](uint32_t shard,
+                                               uint64_t delay_micros) {
+    return [&collects, shard, delay_micros](const std::string& line,
+                                            std::string reply) {
+      if (IsCollectMany(line) && collects[shard]++ == 0) {
+        std::this_thread::sleep_for(std::chrono::microseconds(delay_micros));
+      }
+      return reply;
+    };
+  };
+  InProcessShardd shard0(0, StorageBackendKind::kRow,
+                         delay_first_collect(0, 3 * kDeadlineMicros));
+  InProcessShardd shard1(1, StorageBackendKind::kRow,
+                         delay_first_collect(1, 0));
+  const std::vector<ShardEndpoint> endpoints = {shard0.endpoint(),
+                                                shard1.endpoint()};
+
+  EventStoreOptions options;
+  options.backend = StorageBackendKind::kRow;
+  options.partition_micros = 50;  // InProcessShardd's row layout
+  options.shards = 2;
+  EventStore local(options);
+  options.shard_backend_factory =
+      [&endpoints](size_t shard, const EventStoreOptions& o)
+      -> std::unique_ptr<StorageBackend> {
+    ShardClientOptions client_options = FastFail();
+    client_options.deadline_micros = kDeadlineMicros;
+    return std::make_unique<RemoteShardBackend>(
+        std::make_shared<ShardClient>(endpoints[shard],
+                                      static_cast<uint32_t>(shard),
+                                      o.backend, client_options),
+        o.backend, o.cost_model);
+  };
+  EventStore remote(options);
+
+  std::vector<CollectProbe> probes;
+  for (EventStore* store : {&local, &remote}) {
+    ObjectCatalog& c = store->catalog();
+    const std::vector<HostId> hosts = {c.InternHost("h0"),
+                                       c.InternHost("h1")};
+    std::vector<ObjectId> procs;
+    std::vector<ObjectId> files;
+    for (int i = 0; i < 4; ++i) {
+      procs.push_back(c.AddProcess(hosts[i % 2], {.exename = "p"}));
+    }
+    for (int i = 0; i < 6; ++i) {
+      files.push_back(c.AddFile(hosts[i % 2], {.path = "/f"}));
+    }
+    for (uint64_t i = 0; i < 300; ++i) {
+      Event e;
+      e.subject = procs[i % procs.size()];
+      e.object = files[i % files.size()];
+      e.timestamp = static_cast<TimeMicros>(10 * i + 5);
+      e.amount = 1;
+      e.action = i % 2 != 0 ? ActionType::kWrite : ActionType::kRead;
+      e.direction = ActionDefaultDirection(e.action);
+      e.host = hosts[(i / 3) % 2];
+      store->Append(e);
+    }
+    store->Seal();
+    if (!probes.empty()) continue;
+    for (const ObjectId p : procs) {
+      probes.push_back({ProbeKind::kSrc, p, 0, 4000});
+    }
+    for (const ObjectId f : files) {
+      probes.push_back({ProbeKind::kDest, f, 0, 4000});
+    }
+    probes.push_back({ProbeKind::kRange, kInvalidObjectId, 500, 1500});
+  }
+
+  const uint64_t retries0 = CounterValue(obs::names::kDistRetries);
+  const std::vector<RangeScanBatch> many = remote.CollectMany(probes);
+  EXPECT_EQ(CounterValue(obs::names::kDistRetries) - retries0, 1u);
+  EXPECT_EQ(collects[0].load(), 2) << "shard 0 is retried once";
+  EXPECT_EQ(collects[1].load(), 1) << "shard 1 is never retried";
+  const std::vector<RangeScanBatch> want = local.CollectMany(probes);
+  ASSERT_EQ(many.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(many[i].rows, want[i].rows) << "probe " << i;
+    EXPECT_EQ(many[i].partitions_probed, want[i].partitions_probed)
+        << "probe " << i;
+    ASSERT_EQ(many[i].shard_slices.size(), want[i].shard_slices.size())
+        << "probe " << i;
+    for (size_t k = 0; k < want[i].shard_slices.size(); ++k) {
+      EXPECT_EQ(many[i].shard_slices[k].shard, want[i].shard_slices[k].shard);
+      EXPECT_EQ(many[i].shard_slices[k].rows, want[i].shard_slices[k].rows);
+      EXPECT_EQ(many[i].shard_slices[k].boundary_rows,
+                want[i].shard_slices[k].boundary_rows);
+    }
   }
 }
 

@@ -607,7 +607,7 @@ TEST_P(DifferentialOracle, ShardedRecoveredStoreBitIdenticalToUninterrupted) {
           << " B=" << kRecoveredBatch;
     }
 
-    rec.store->SealTail(nullptr);
+    rec.store->SealTail();
     EXPECT_EQ(rec.store->TailRows(), 0u);
     {
       const RunFingerprint want = RunOnce(ref, script);
@@ -722,7 +722,7 @@ TEST_P(DifferentialOracle, RecoveredStoreBitIdenticalToUninterrupted) {
     // row backend): the *results* stay bit-identical even though the
     // physical layout — and thus the simulated cost accounting — may
     // legitimately change.
-    rec.store->SealTail(nullptr);
+    rec.store->SealTail();
     EXPECT_EQ(rec.store->TailRows(), 0u);
     {
       const RunFingerprint want = RunOnce(ref, script);

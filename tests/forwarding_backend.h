@@ -1,6 +1,7 @@
 // A StorageBackend that forwards every virtual to an in-process row or
 // columnar backend, reports a chosen collect_batch, and counts the Get
-// and CollectMany calls that reach it. Plugged in as a sharded store's
+// and batched collect calls that reach it (optionally logging each
+// collect's start and finish). Plugged in as a sharded store's
 // shard_backend_factory it gives tests the batched executor path (B > 1)
 // without a shard daemon. Header-only.
 
@@ -10,6 +11,7 @@
 #include <atomic>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "storage/columnar_backend.h"
@@ -23,17 +25,23 @@ namespace aptrace {
 struct ForwardingCounters {
   std::atomic<size_t> gets{0};
   std::atomic<size_t> collect_many{0};
+  /// When set, every StartCollectMany appends "start <shard>" and every
+  /// call it returned appends "finish <shard>" when run, in call order.
+  /// Not thread-safe: only for tests that collect on one thread.
+  bool log_collects = false;
+  std::vector<std::string> collect_log;
 };
 
 class ForwardingBackend final : public StorageBackend {
  public:
   /// `collect_batch` 0 keeps the inner backend's value; `counters` may
   /// be null.
-  ForwardingBackend(const EventStoreOptions& options, size_t collect_batch,
-                    ForwardingCounters* counters)
+  ForwardingBackend(const EventStoreOptions& options, size_t shard,
+                    size_t collect_batch, ForwardingCounters* counters)
       : StorageBackend(options.backend, options.cost_model),
         inner_(MakeInner(options)),
         caps_(inner_->capabilities()),
+        shard_(shard),
         counters_(counters) {
     if (collect_batch > 0) caps_.collect_batch = collect_batch;
   }
@@ -63,10 +71,15 @@ class ForwardingBackend final : public StorageBackend {
   RangeScanBatch CollectRange(TimeMicros begin, TimeMicros end) const override {
     return inner_->CollectRange(begin, end);
   }
-  std::vector<RangeScanBatch> CollectMany(
+  FinishCollect StartCollectMany(
       std::span<const CollectProbe> probes) const override {
     if (counters_ != nullptr) counters_->collect_many.fetch_add(1);
-    return inner_->CollectMany(probes);
+    Log("start");
+    return FinishCollect(
+        [this, finish = inner_->StartCollectMany(probes)]() mutable {
+          Log("finish");
+          return finish();
+        });
   }
   bool HasIncomingWrite(ObjectId object, TimeMicros begin,
                         TimeMicros end) const override {
@@ -83,8 +96,8 @@ class ForwardingBackend final : public StorageBackend {
                     ScanProbeStats* probe_out = nullptr) const override {
     return inner_->ReplayScan(batch, clock, fn, filter, cost_out, probe_out);
   }
-  size_t SealTail(WorkerPool* pool) override { return inner_->SealTail(pool); }
-  size_t Compact(WorkerPool* pool) override { return inner_->Compact(pool); }
+  size_t SealTail() override { return inner_->SealTail(); }
+  size_t Compact() override { return inner_->Compact(); }
   size_t EvictBefore(TimeMicros horizon) override {
     return inner_->EvictBefore(horizon);
   }
@@ -103,8 +116,16 @@ class ForwardingBackend final : public StorageBackend {
                                              options.partition_micros);
   }
 
+  void Log(const char* step) const {
+    if (counters_ != nullptr && counters_->log_collects) {
+      counters_->collect_log.push_back(std::string(step) + " " +
+                                       std::to_string(shard_));
+    }
+  }
+
   std::unique_ptr<StorageBackend> inner_;
   BackendCapabilities caps_;
+  size_t shard_;
   ForwardingCounters* counters_;
 };
 
@@ -114,9 +135,10 @@ inline void UseForwardingShards(EventStoreOptions& options,
                                 size_t collect_batch,
                                 ForwardingCounters* counters = nullptr) {
   options.shard_backend_factory =
-      [collect_batch, counters](size_t, const EventStoreOptions& o)
+      [collect_batch, counters](size_t shard, const EventStoreOptions& o)
       -> std::unique_ptr<StorageBackend> {
-    return std::make_unique<ForwardingBackend>(o, collect_batch, counters);
+    return std::make_unique<ForwardingBackend>(o, shard, collect_batch,
+                                               counters);
   };
 }
 

@@ -421,7 +421,6 @@ TEST_P(ServiceDifferential, DistributedSessionsBitIdenticalToMonolithic) {
   const RandomTrace t = MakeRandomTrace(
       97, 400, backend, endpoints.size(),
       [&endpoints](EventStoreOptions& options) {
-        options.dist_fanout_threads = endpoints.size();
         options.shard_backend_factory =
             [&endpoints](size_t shard, const EventStoreOptions& o)
             -> std::unique_ptr<StorageBackend> {

@@ -7,6 +7,7 @@
 
 #include "storage/event_store.h"
 #include "storage/storage_backend.h"
+#include "tests/forwarding_backend.h"
 #include "util/rng.h"
 
 namespace aptrace {
@@ -653,13 +654,37 @@ void ExpectSameBatch(const RangeScanBatch& got, const RangeScanBatch& want,
   }
 }
 
+// The sharded store's one-thread scatter, read from a forwarding shard
+// log: it starts every probed shard's collect, in shard order, before
+// it finishes any, then finishes them in the same order.
+void ExpectScatterOrder(const std::vector<std::string>& log,
+                        const std::string& label) {
+  const size_t n = log.size() / 2;
+  ASSERT_EQ(log.size(), 2 * n) << label;
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(log[i].rfind("start ", 0), 0u) << label << ": " << log[i];
+    EXPECT_EQ(log[n + i], "finish " + log[i].substr(6)) << label;
+    if (i > 0) {
+      EXPECT_LT(std::stoul(log[i - 1].substr(6)), std::stoul(log[i].substr(6)))
+          << label;
+    }
+  }
+}
+
 class CollectManyTest : public testing::TestWithParam<uint64_t> {};
 
 // For random probe lists, one CollectMany answers each probe exactly as
 // the matching single Collect* does — rows, probe counters and shard
-// slices — on the row and columnar layouts, monolithic and sharded.
+// slices — on the row and columnar layouts, monolithic and sharded, and
+// on sharded stores whose shards log each collect's start and finish.
 TEST_P(CollectManyTest, EqualsPerProbeCollects) {
-  for (const size_t shards : {size_t{1}, size_t{2}, size_t{4}}) {
+  struct Layout {
+    size_t shards;
+    bool logged;
+  };
+  for (const auto [shards, logged] :
+       {Layout{1, false}, Layout{2, false}, Layout{4, false},
+        Layout{2, true}, Layout{4, true}}) {
     for (const StorageBackendKind backend :
          {StorageBackendKind::kRow, StorageBackendKind::kColumnar}) {
       EventStoreOptions options;
@@ -667,6 +692,9 @@ TEST_P(CollectManyTest, EqualsPerProbeCollects) {
       options.segment_rows = 32;
       options.backend = backend;
       options.shards = shards;
+      ForwardingCounters counters;
+      counters.log_collects = true;
+      if (logged) UseForwardingShards(options, 0, &counters);
       EventStore store(options);
       Rng rng(GetParam());
       ObjectCatalog& c = store.catalog();
@@ -689,7 +717,11 @@ TEST_P(CollectManyTest, EqualsPerProbeCollects) {
       }
       store.Seal();
       EXPECT_TRUE(store.CollectMany({}).empty());
+      const std::string layout = std::string(StorageBackendName(backend)) +
+                                 " shards=" + std::to_string(shards) +
+                                 (logged ? " logged" : "");
 
+      size_t scattered = 0;  // CollectMany calls that probed 2+ shards
       for (int trial = 0; trial < 12; ++trial) {
         std::vector<CollectProbe> probes(1 + rng.Uniform(40));
         for (CollectProbe& p : probes) {
@@ -700,8 +732,14 @@ TEST_P(CollectManyTest, EqualsPerProbeCollects) {
           p.begin = static_cast<TimeMicros>(rng.Uniform(42000));
           p.end = p.begin + static_cast<TimeMicros>(rng.Uniform(9000));
         }
+        counters.collect_log.clear();
         const std::vector<RangeScanBatch> many = store.CollectMany(probes);
         ASSERT_EQ(many.size(), probes.size());
+        if (logged) {
+          ExpectScatterOrder(counters.collect_log,
+                             layout + " trial=" + std::to_string(trial));
+          if (counters.collect_log.size() >= 4) ++scattered;
+        }
         for (size_t i = 0; i < probes.size(); ++i) {
           const CollectProbe& p = probes[i];
           const RangeScanBatch one =
@@ -711,11 +749,12 @@ TEST_P(CollectManyTest, EqualsPerProbeCollects) {
                                                              p.end)
                                           : store.CollectRange(p.begin, p.end);
           ExpectSameBatch(many[i], one,
-                          std::string(StorageBackendName(backend)) +
-                              " shards=" + std::to_string(shards) +
-                              " trial=" + std::to_string(trial) +
+                          layout + " trial=" + std::to_string(trial) +
                               " probe=" + std::to_string(i));
         }
+      }
+      if (logged) {
+        EXPECT_GT(scattered, 0u) << layout;
       }
     }
   }

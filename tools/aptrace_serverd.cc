@@ -20,8 +20,9 @@
 //                             "unix:<path>", or a comma-separated list;
 //                             default: APTRACE_SHARD_ENDPOINTS env var).
 //                             The store becomes a coordinator over N
-//                             remote shards — scans fan out concurrently
-//                             over the shard-RPC protocol and a dead
+//                             remote shards — a scan sends every probed
+//                             shard its request before it reads any
+//                             reply (shard-RPC protocol), and a dead
 //                             daemon degrades to a typed DST-E005 error,
 //                             never a hang. Incompatible with --data-dir
 //                             (durability lives in each shardd's
@@ -70,7 +71,6 @@
 //   boundary, and the process exits 0. On start the daemon prints one
 //   "serverd: ready" line to stdout so scripts can wait for it.
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -368,8 +368,6 @@ int Main(int argc, char** argv) {
   store_options.shards = flags.shards;
   if (endpoints != nullptr) {
     store_options.shards = endpoints->size();
-    store_options.dist_fanout_threads =
-        std::min<size_t>(endpoints->size(), 16);
     store_options.shard_backend_factory =
         [endpoints](size_t shard, const EventStoreOptions& o)
         -> std::unique_ptr<StorageBackend> {
